@@ -15,7 +15,12 @@ Execution cores (``ServingEngine(core=...)``):
 * ``"vector"`` (default) — the vectorized event core: request state lives
   in a struct-of-arrays :class:`~repro.runtime.soa.RequestTable` and each
   decode span / prefill rider chunk commits as one numpy operation
-  instead of a Python loop over request objects.
+  instead of a Python loop over request objects.  Optimistic admission
+  (``optimistic=True``) keeps request state on the objects: each decode
+  span commits in bulk — one pass over the running requests and one
+  :meth:`~repro.runtime.paged_kv.PagedKVAllocator.append_tokens` — up to
+  the step that would exhaust the KV pool, replays that one step through
+  the scalar per-token loop (victim choice and eviction), and repeats.
 * ``"scalar"`` — the reference implementation: per-token Python loops
   over request objects.  Bit-identical to ``"vector"`` (same results,
   metrics, traces, profiles — enforced by ``tests/test_vector_core.py``);
@@ -63,6 +68,7 @@ from repro.perf.estimator import phase_utilization
 from repro.perf.kernel import get_kernel
 from repro.perf.phases import Deployment
 from repro.runtime.memory_manager import MemoryManager, OutOfMemoryError
+from repro.runtime.paged_kv import AllocationError
 from repro.runtime.scheduler import (
     ContinuousBatchingScheduler,
     Scheduler,
@@ -193,10 +199,14 @@ class ServingEngine:
     ) -> None:
         """``optimistic=True`` enables vLLM's real admission policy:
         reserve only prompt blocks and preempt-and-recompute when the KV
-        pool runs dry mid-decode (requires a paged deployment).  Because
-        that policy grows each request's KV allocation token by token,
-        optimistic runs always commit through the scalar per-token loop,
-        whatever ``core`` says about the span rule.
+        pool runs dry mid-decode (requires a paged deployment).  On the
+        ``vector`` core each optimistic decode span commits in bulk up to
+        the step that exhausts the pool and replays only that step through
+        the scalar per-token loop (preemption included); ``scalar`` and
+        ``legacy`` walk every step per token.
+
+        ``max_concurrency`` caps the running batch; ``None`` (the default)
+        means 1024, and values below 1 are rejected when a run starts.
 
         ``tracer`` (default the no-op :data:`~repro.obs.tracer.NULL_TRACER`)
         records span/instant events and metric histograms as the run
@@ -232,15 +242,18 @@ class ServingEngine:
         self.kernel = kernel if kernel is not None else get_kernel(deployment)
         self.tracer = tracer
         self.memory = MemoryManager(deployment, tracer=tracer)  # raises if weights don't fit
-        self.max_concurrency = max_concurrency or 1024
+        # Only None takes the default: 0 and negatives reach the scheduler.
+        self.max_concurrency = 1024 if max_concurrency is None else max_concurrency
         self.coalesce = coalesce
         self.optimistic = optimistic
         self.profile = profile
         self.telemetry = telemetry
         self.core = resolve_core(core)
-        # Optimistic admission mutates the allocator per token, so its
-        # commits stay on the scalar object path even under core="vector".
+        # Optimistic admission grows the allocator per sequence, so the
+        # vector core commits its spans on the request objects between
+        # KV-pool exhaustion points rather than through the request table.
         self._vector_commit = self.core == "vector" and not optimistic
+        self._bulk_optimistic = self.core == "vector" and optimistic
         self._power = PowerModel(deployment.hardware, deployment.num_devices)
 
     def _make_scheduler(self) -> Scheduler:
@@ -440,31 +453,101 @@ class ServingEngine:
                 request.finish_time = last_time
                 request.state = RequestState.FINISHED
             run._outstanding -= batch * steps
+        elif self._bulk_optimistic:
+            self._commit_optimistic_span(run, running, steps, step_bd.total_s)
         else:
             active = list(running)
+            live = {id(r) for r in active}
             for i in range(steps):
                 token_time = now + step_bd.total_s * (i + 1)
                 if traced:
                     self.tracer.advance(token_time)
-                for request in list(active):
-                    if request not in active:
-                        continue  # preempted earlier within this step
-                    if self.optimistic:
-                        self._append_or_preempt(run, active, request)
-                    request.record_token(token_time)
-                    run._outstanding -= 1
+                active = self._decode_step(run, active, live, token_time)
         run.now = now + span_bd.total_s
+
+    def _decode_step(
+        self,
+        run: "EngineRun",
+        active: list[GenerationRequest],
+        live: set[int],
+        token_time: float,
+    ) -> list[GenerationRequest]:
+        """One lockstep token for every request of ``active`` whose ``id()``
+        is in ``live`` — the scalar per-token oracle.  Under optimistic
+        admission each append may preempt newer requests, which leave
+        ``live``; returns ``active`` without them."""
+        optimistic = self.optimistic
+        for request in active:
+            if id(request) not in live:
+                continue  # preempted earlier within this step
+            if optimistic:
+                self._append_or_preempt(run, live, request)
+            request.record_token(token_time)
+            run._outstanding -= 1
+        if len(live) != len(active):
+            active = [r for r in active if id(r) in live]
+        return active
+
+    def _commit_optimistic_span(
+        self,
+        run: "EngineRun",
+        running: list[GenerationRequest],
+        steps: int,
+        step_s: float,
+    ) -> None:
+        """Optimistic decode span on the ``vector`` core.
+
+        The pool can only run dry when some sequence crosses into a block
+        it has not reserved, so the span alternates two phases: commit in
+        bulk every step the free pool covers (allocator and request
+        objects, one pass each), then replay the step that exhausts it
+        through :meth:`_decode_step` (victim choice and eviction
+        included).  Per-sequence growth is read from the allocator, whose
+        contexts lag the requests' by the prefill-emitted token and any
+        chunked-prefill rider tokens — exactly the state the per-token
+        loop grows.  Same end state, bit for bit, as the scalar core.
+        """
+        now = run.now
+        allocator = run.scheduler.allocator
+        traced = self.tracer.enabled
+        active = list(running)
+        live = {id(r) for r in active}
+        done = 0
+        while done < steps:
+            seq_ids = [r.request_id for r in active]
+            bulk = allocator.lockstep_headroom(seq_ids, steps - done)
+            if bulk:
+                allocator.append_tokens(seq_ids, bulk)
+                done += bulk
+                token_time = now + step_s * done
+                if traced:
+                    self.tracer.advance(token_time)
+                # Spans never outrun the shortest remaining budget, so a
+                # request can only finish on the span's last step.
+                for request in active:
+                    generated = request.generated_tokens + bulk
+                    request.generated_tokens = generated
+                    if generated == request.output_tokens:
+                        request.finish_time = token_time
+                        request.state = RequestState.FINISHED
+                run._outstanding -= bulk * len(active)
+                if done == steps:
+                    break
+            done += 1
+            token_time = now + step_s * done
+            if traced:
+                self.tracer.advance(token_time)
+            active = self._decode_step(run, active, live, token_time)
 
     def _append_or_preempt(
         self,
         run: "EngineRun",
-        active: list[GenerationRequest],
+        live: set[int],
         request: GenerationRequest,
     ) -> None:
         """Grow ``request``'s KV by one token, evicting newer requests
-        (recompute preemption) until the pool has room."""
-        from repro.runtime.paged_kv import AllocationError
-
+        (recompute preemption) until the pool has room; evicted requests
+        leave ``live`` (a set of ``id()``)."""
         scheduler = run.scheduler
         while True:
             try:
@@ -486,8 +569,7 @@ class ServingEngine:
                 # Back in the queue the victim owes a full re-prefill of
                 # its restart context (beyond whatever it owed running).
                 run._outstanding += victim.prefill_tokens_needed - pre
-                if victim in active:
-                    active.remove(victim)
+                live.discard(id(victim))
 
     @staticmethod
     def _choose_victim(

@@ -27,8 +27,8 @@ class KVAllocator:
 
     Allocators optionally carry a :class:`~repro.obs.tracer.Tracer` and
     emit ``kv_alloc`` counter samples on admit/free (pool occupancy over
-    time, stamped at the tracer's clock).  Per-token appends are not
-    traced — that path is the simulator's hottest."""
+    time, stamped at the tracer's clock).  Appends (per token or in bulk)
+    are not traced — that path is the simulator's hottest."""
 
     tracer: Tracer = NULL_TRACER
 
@@ -165,6 +165,69 @@ class PagedKVAllocator(KVAllocator):
             self._reserved_blocks += growth
         seq.context_tokens += 1
         seq.mapped_blocks = needed
+
+    def lockstep_headroom(self, seq_ids: list[int], max_steps: int) -> int:
+        """How many lockstep rounds of ``append_token`` over ``seq_ids``
+        succeed before the first one that would raise (capped at
+        ``max_steps``).
+
+        Each append grows a sequence by at most one block, so round ``s``
+        succeeds iff the blocks the sequences cross into by round ``s``
+        fit the free pool and no non-growable sequence outgrows its
+        reservation.  The crossing count is monotone in ``s``, so the
+        answer is a binary search over O(len(seq_ids)) counts.
+        """
+        size = self.block_size
+        free = self.free_blocks
+        rows = []
+        for seq_id in seq_ids:
+            seq = self._require(seq_id)
+            # Rounds before this sequence first needs a block it lacks.
+            slack = seq.reserved_blocks * size - seq.context_tokens
+            if seq.growable:
+                rows.append(slack)
+            elif slack < max_steps:
+                max_steps = slack
+
+        def crossings(steps: int) -> int:
+            # Sequence with slack ``d`` has crossed ceil((steps - d) / size)
+            # block boundaries after ``steps`` rounds (none while steps <= d).
+            return sum(-((slack - steps) // size) for slack in rows if steps > slack)
+
+        if crossings(max_steps) <= free:
+            return max_steps
+        lo, hi = 0, max_steps  # crossings(lo) <= free < crossings(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if crossings(mid) <= free:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    def append_tokens(self, seq_ids: list[int], steps: int) -> None:
+        """Grow every sequence in ``seq_ids`` by ``steps`` tokens: the same
+        end state as ``steps`` lockstep rounds of :meth:`append_token`.
+
+        Atomic: raises :class:`AllocationError` without mutating anything
+        when those rounds would not all succeed (see
+        :meth:`lockstep_headroom`).
+        """
+        if self.lockstep_headroom(seq_ids, steps) < steps:
+            raise AllocationError(
+                f"{len(seq_ids)} sequence(s) cannot grow {steps} token(s); "
+                f"{self.free_blocks} block(s) free (preemption required)"
+            )
+        growth = 0
+        for seq_id in seq_ids:
+            seq = self._sequences[seq_id]
+            seq.context_tokens += steps
+            needed = self._blocks_for(seq.context_tokens)
+            if needed > seq.reserved_blocks:
+                growth += needed - seq.reserved_blocks
+                seq.reserved_blocks = needed
+            seq.mapped_blocks = needed
+        self._reserved_blocks += growth
 
     def free(self, seq_id: int) -> None:
         seq = self._sequences.pop(seq_id, None)

@@ -166,12 +166,17 @@ class Scheduler:
     def preempt(self, request: GenerationRequest) -> None:
         """Evict a running request (recompute policy): free its KV and
         requeue it at the front of the waiting queue."""
-        if request not in self.running:
+        running = self.running
+        # Identity scan: dataclass ``==`` would compare every field.
+        for index, candidate in enumerate(running):
+            if candidate is request:
+                break
+        else:
             raise ValueError(f"request {request.request_id} is not running")
         self.allocator.free(request.request_id)
         if self.table is not None:
-            self.table.drop(self.running.index(request))
-        self.running.remove(request)
+            self.table.drop(index)
+        del running[index]
         request.mark_preempted()
         self.waiting.appendleft(request)
         insort(self._arrivals, request.arrival_time)

@@ -9,6 +9,7 @@ style short-in/long-out — Section IV-A2's "blended tokens").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +48,8 @@ def poisson_trace(
     """Requests with exponential inter-arrival gaps at ``rate_per_s``."""
     if num_requests < 1:
         raise ValueError(f"num_requests must be >= 1, got {num_requests}")
-    if rate_per_s <= 0:
-        raise ValueError(f"rate_per_s must be positive, got {rate_per_s}")
+    if not (math.isfinite(rate_per_s) and rate_per_s > 0):
+        raise ValueError(f"rate_per_s must be finite and positive, got {rate_per_s}")
     rng = np.random.default_rng(seed)
     gaps = rng.exponential(1.0 / rate_per_s, size=num_requests)
     arrivals = np.cumsum(gaps)

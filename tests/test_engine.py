@@ -11,7 +11,7 @@ from repro.perf.parallelism import ParallelismPlan
 from repro.perf.phases import Deployment
 from repro.runtime.engine import ServingEngine
 from repro.runtime.memory_manager import OutOfMemoryError
-from repro.runtime.workload import fixed_batch_trace, poisson_trace
+from repro.runtime.workload import fixed_batch_trace, open_loop_trace, poisson_trace
 
 
 def _engine(model="LLaMA-3-8B", hw="A100", fw="vLLM", **kwargs) -> ServingEngine:
@@ -80,6 +80,23 @@ class TestSchedulingBehaviour:
         result = _engine().run(trace)
         # Makespan at least spans the arrivals.
         assert result.total_time_s >= max(r.arrival_time for r in trace)
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_poisson_rejects_non_finite_or_non_positive_rate(self, rate):
+        with pytest.raises(ValueError, match="finite and positive"):
+            poisson_trace(4, rate_per_s=rate, input_tokens=32, output_tokens=8)
+        with pytest.raises(ValueError, match="finite and positive"):
+            open_loop_trace(4, rate, 32, 8)
+
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_max_concurrency_below_one_rejected(self, limit):
+        engine = _engine(max_concurrency=limit)
+        with pytest.raises(ValueError, match="max_concurrency must be >= 1"):
+            engine.run(fixed_batch_trace(2, 32, 8))
+
+    def test_max_concurrency_defaults_only_for_none(self):
+        assert _engine().max_concurrency == 1024
+        assert _engine(max_concurrency=3).max_concurrency == 3
 
     def test_oversized_request_raises(self):
         engine = _engine()

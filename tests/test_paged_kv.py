@@ -1,6 +1,10 @@
 """Tests for the KV allocators."""
 
+import copy
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.runtime.paged_kv import (
     AllocationError,
@@ -89,6 +93,95 @@ class TestPagedAllocator:
             alloc.admit(1, 0, 10)
         with pytest.raises(ValueError):
             alloc.admit(1, 20, 10)
+
+
+def _state(alloc: PagedKVAllocator):
+    return alloc.free_blocks, {
+        seq_id: (s.context_tokens, s.reserved_blocks, s.mapped_blocks)
+        for seq_id, s in alloc._sequences.items()
+    }
+
+
+def _lockstep_rounds(alloc: PagedKVAllocator, seq_ids, max_steps: int) -> int:
+    """Reference: full rounds of per-token appends before one raises."""
+    for done in range(max_steps):
+        for seq_id in seq_ids:
+            try:
+                alloc.append_token(seq_id)
+            except AllocationError:
+                return done
+    return max_steps
+
+
+class TestLockstepGrowth:
+    """``lockstep_headroom``/``append_tokens`` against per-token appends."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        total_blocks=st.integers(1, 48),
+        block_size=st.integers(1, 20),
+        max_steps=st.integers(0, 90),
+    )
+    def test_bulk_growth_equals_per_token_appends(
+        self, data, total_blocks, block_size, max_steps
+    ):
+        alloc = PagedKVAllocator(total_blocks, block_size)
+        for seq_id in range(data.draw(st.integers(1, 8))):
+            prompt = data.draw(st.integers(1, 3 * block_size))
+            final = prompt + data.draw(st.integers(0, 4 * block_size))
+            optimistic = data.draw(st.booleans())
+            reserve = prompt if optimistic else final
+            if -(-reserve // block_size) > alloc.free_blocks:
+                continue
+            alloc.admit(seq_id, prompt, final, optimistic=optimistic)
+            # Some sequences grow a little before the span starts.
+            for _ in range(data.draw(st.integers(0, block_size))):
+                try:
+                    alloc.append_token(seq_id)
+                except AllocationError:
+                    break
+        seq_ids = list(alloc._sequences)
+        reference = copy.deepcopy(alloc)
+        rounds = _lockstep_rounds(reference, seq_ids, max_steps)
+        headroom = alloc.lockstep_headroom(seq_ids, max_steps)
+        assert headroom == rounds
+        # Committing the headroom in bulk lands on the per-token state.
+        stepped = copy.deepcopy(alloc)
+        for _ in range(headroom):
+            for seq_id in seq_ids:
+                stepped.append_token(seq_id)
+        alloc.append_tokens(seq_ids, headroom)
+        assert _state(alloc) == _state(stepped)
+        assert alloc.used_tokens == stepped.used_tokens
+        assert alloc.mapped_tokens == stepped.mapped_tokens
+        # One step past the headroom is refused atomically.
+        if headroom < max_steps:
+            before = _state(alloc)
+            with pytest.raises(AllocationError, match="preemption"):
+                alloc.append_tokens(seq_ids, 1)
+            assert _state(alloc) == before
+
+    def test_headroom_counts_block_crossings(self):
+        alloc = PagedKVAllocator(4, 16)
+        alloc.admit(1, 10, 100, optimistic=True)  # crosses at steps 7, 23
+        alloc.admit(2, 16, 100, optimistic=True)  # crosses at steps 1, 17
+        assert alloc.free_blocks == 2
+        assert alloc.lockstep_headroom([1, 2], 100) == 16
+        assert alloc.lockstep_headroom([1, 2], 5) == 5
+        assert alloc.lockstep_headroom([1], 100) == 38
+
+    def test_conservative_sequence_caps_headroom(self):
+        alloc = PagedKVAllocator(10, 16)
+        alloc.admit(1, 10, 20)  # reserves 2 blocks: 22 appends fit
+        assert alloc.lockstep_headroom([1], 50) == 22
+        with pytest.raises(AllocationError):
+            alloc.append_tokens([1], 23)
+
+    def test_unknown_sequence_raises(self):
+        alloc = PagedKVAllocator(10, 16)
+        with pytest.raises(AllocationError, match="not admitted"):
+            alloc.lockstep_headroom([7], 3)
 
 
 class TestContiguousAllocator:

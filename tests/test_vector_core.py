@@ -1,4 +1,4 @@
-"""Scalar ↔ vectorized bit-identity for the event core (ISSUE 8).
+"""Scalar ↔ vectorized bit-identity for the event core.
 
 The vectorized core (``ServingEngine(core="vector")``) commits whole
 decode spans and rider chunks against a struct-of-arrays request table;
@@ -34,12 +34,15 @@ from repro.control import (
 from repro.core.request import GenerationRequest
 from repro.frameworks.base import get_framework
 from repro.hardware.zoo import get_hardware
+from repro.models.kvcache import KVCacheSpec
 from repro.models.zoo import get_model
 from repro.obs.tracer import EventTracer
 from repro.perf.parallelism import ParallelismPlan
 from repro.perf.phases import Deployment
 from repro.runtime.engine import ServingEngine, resolve_core
 from repro.runtime.loadgen import summarize_requests
+from repro.runtime.memory_manager import MemoryManager
+from repro.runtime.paged_kv import PagedKVAllocator
 from repro.runtime.workload import fixed_batch_trace, open_loop_trace, poisson_trace
 from repro.scenarios import get_scenario
 
@@ -146,16 +149,32 @@ class TestEngineEquivalence:
         _assert_results_identical(scalar, vector)
         assert vector.scheduler_stats.admission_rounds == 3
 
-    def test_optimistic_preemption_path(self):
-        """Optimistic (vLLM preempt-and-recompute) always runs scalar
-        commits, so ``core="vector"`` must be a strict no-op there."""
+    def test_optimistic_preemption_path(self, monkeypatch):
+        """Optimistic (vLLM preempt-and-recompute) spans on the vector core
+        commit in bulk between KV-pool exhaustion points and replay only
+        the exhausting steps per token — a different path from the scalar
+        loop, with the same results."""
+        appends = {"scalar": 0, "vector": 0}
+        core = ["scalar"]
+        append_token = PagedKVAllocator.append_token
+
+        def counting_append(allocator, seq_id):
+            appends[core[0]] += 1
+            return append_token(allocator, seq_id)
+
+        monkeypatch.setattr(PagedKVAllocator, "append_token", counting_append)
         dep = _dep("LLaMA-2-7B")
         trace = fixed_batch_trace(24, 1800, 2200)  # overpacks the KV pool
-        scalar, vector = _run_pair(
-            dep, trace, optimistic=True, max_concurrency=24
-        )
+        scalar = ServingEngine(
+            dep, optimistic=True, max_concurrency=24, core="scalar"
+        ).run(_clone(trace))
+        core[0] = "vector"
+        vector = ServingEngine(
+            dep, optimistic=True, max_concurrency=24, core="vector"
+        ).run(_clone(trace))
         _assert_results_identical(scalar, vector)
         assert vector.scheduler_stats.preemptions > 0
+        assert appends["vector"] * 10 < appends["scalar"]
 
 
 class TestCornerDeployments:
@@ -183,46 +202,45 @@ class TestCornerDeployments:
         _assert_results_identical(scalar, vector)
 
 
+def _trace_events(core: str, dep: Deployment, trace, **engine_kwargs) -> list:
+    tracer = EventTracer()
+    clone = _clone(trace)
+    ServingEngine(dep, tracer=tracer, core=core, **engine_kwargs).run(clone)
+    # request_id is a process-global counter: normalize to trace position
+    # so runs compare on structure and timing.
+    remap = {r.request_id: i for i, r in enumerate(clone)}
+    return [
+        (
+            e.name,
+            e.category,
+            e.phase,
+            e.ts_s,
+            e.dur_s,
+            {k: (remap[v] if k == "request_id" else v) for k, v in e.args.items()},
+        )
+        for e in tracer.events
+    ]
+
+
+def _profile_json(core: str, dep: Deployment, trace, **engine_kwargs) -> str:
+    result = ServingEngine(dep, profile=True, core=core, **engine_kwargs).run(
+        _clone(trace)
+    )
+    return json.dumps(result.profile.to_json_dict(), sort_keys=True)
+
+
 class TestObservabilityEquivalence:
     def test_trace_events_identical(self):
         trace = open_loop_trace(16, 5.0, 256, 64, seed=21)
-        events = {}
-        for core in ("scalar", "vector"):
-            tracer = EventTracer()
-            clone = _clone(trace)
-            ServingEngine(
-                _dep(), max_concurrency=8, tracer=tracer, core=core
-            ).run(clone)
-            # request_id is a process-global counter: normalize to trace
-            # position so the two runs compare on structure and timing.
-            remap = {r.request_id: i for i, r in enumerate(clone)}
-            events[core] = [
-                (
-                    e.name,
-                    e.category,
-                    e.phase,
-                    e.ts_s,
-                    e.dur_s,
-                    {
-                        k: (remap[v] if k == "request_id" else v)
-                        for k, v in e.args.items()
-                    },
-                )
-                for e in tracer.events
-            ]
-        assert events["scalar"] == events["vector"]
+        assert _trace_events(
+            "scalar", _dep(), trace, max_concurrency=8
+        ) == _trace_events("vector", _dep(), trace, max_concurrency=8)
 
     def test_profile_reports_identical(self):
         trace = open_loop_trace(16, 5.0, 256, 64, seed=23)
-        reports = {}
-        for core in ("scalar", "vector"):
-            result = ServingEngine(
-                _dep(), max_concurrency=8, profile=True, core=core
-            ).run(_clone(trace))
-            reports[core] = result.profile.to_json_dict()
-        assert json.dumps(reports["scalar"], sort_keys=True) == json.dumps(
-            reports["vector"], sort_keys=True
-        )
+        assert _profile_json(
+            "scalar", _dep(), trace, max_concurrency=8
+        ) == _profile_json("vector", _dep(), trace, max_concurrency=8)
 
     def test_metrics_gauges_identical(self):
         trace = open_loop_trace(16, 5.0, 256, 64, seed=25)
@@ -382,6 +400,201 @@ class TestClusterEquivalence:
         assert _cluster_json("scalar", trace=trace, **kwargs) == _cluster_json(
             "vector", trace=trace, **kwargs
         )
+
+
+# ----------------------------------------------------------------------
+# Optimistic admission: bulk commits between KV-pool exhaustion points
+
+
+@pytest.fixture
+def kv_pool(monkeypatch):
+    """Set every engine's KV budget (tokens) so small traces exhaust it."""
+
+    def set_budget(tokens: int) -> None:
+        monkeypatch.setattr(
+            MemoryManager, "kv_budget_tokens", property(lambda self: tokens)
+        )
+
+    return set_budget
+
+
+def optimistic_case(seed: int):
+    """Seeded optimistic workload: a trace (all at once or Poisson-ish),
+    a KV budget far below its total footprint, a block size and engine
+    options.  Output budgets come from a small set so several requests
+    finish on the same step; every request fits the pool alone."""
+    rng = random.Random(seed)
+    burst = rng.random() < 0.5
+    now = 0.0
+    trace = []
+    for _ in range(rng.randint(8, 20)):
+        if not burst and rng.random() >= 0.3:
+            now += rng.expovariate(4.0)
+        output_tokens = rng.choice([1, 24, 64, 64, 160, 160, 320])
+        if rng.random() < 0.25:
+            output_tokens += rng.randint(1, 15)
+        trace.append(
+            GenerationRequest(rng.randint(16, 600), output_tokens, arrival_time=now)
+        )
+    budget = rng.choice([1024, 1536, 2048, 3072])
+    dep = _dep().with_kv_spec(KVCacheSpec(block_size=rng.choice([1, 4, 16, 32])))
+    kwargs = dict(
+        max_concurrency=rng.choice([4, 8, 16, None]),
+        coalesce=rng.random() < 0.85,
+    )
+    return trace, budget, dep, kwargs
+
+
+def finished_victim_case():
+    """Three requests and a 15-block pool (block size 16) that runs dry
+    exactly at the newest request's append on the first span's last step,
+    after the middle request finished on that step: the victim search
+    must skip the finished request and evict the oldest."""
+    trace = [
+        GenerationRequest(17, 200),  # crosses blocks at steps 16, 32, 48
+        GenerationRequest(17, 50),  # same; finishes on step 49
+        GenerationRequest(32, 200),  # crosses at 1, 17, 33 and 49
+    ]
+    return trace, 240, _dep(), {}
+
+
+MATRIX_SEEDS = range(24)
+
+
+def _run_drained(dep: Deployment, trace, core: str, **engine_kwargs):
+    """Run to completion, checking the O(1) outstanding-token tally after
+    every step; the pool must end with no sequences and no reserved
+    blocks."""
+    run = ServingEngine(dep, optimistic=True, core=core, **engine_kwargs).start()
+    for request in sorted(trace, key=lambda r: r.arrival_time):
+        run.submit(request)
+    while run.has_work:
+        run.step()
+        assert run.outstanding_tokens == run.outstanding_tokens_scan()
+    allocator = run.scheduler.allocator
+    assert allocator.num_sequences == 0
+    assert allocator.free_blocks == allocator.total_blocks
+    return run.result(requests=list(trace))
+
+
+class _ReplayProbe:
+    """Records which exhaustion situations the vector core's replay hit."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.seen: set[str] = set()
+        self._steps = 0
+        commit = ServingEngine._commit_optimistic_span
+        headroom = PagedKVAllocator.lockstep_headroom
+        choose = ServingEngine._choose_victim
+        prefill = ServingEngine._run_prefill
+
+        def commit_spy(engine, run, running, steps, step_s):
+            self._steps = steps
+            return commit(engine, run, running, steps, step_s)
+
+        def headroom_spy(allocator, seq_ids, max_steps):
+            bulk = headroom(allocator, seq_ids, max_steps)
+            if bulk < max_steps and self._steps > 1:
+                step = self._steps - max_steps + bulk + 1  # replayed step
+                self.seen.add(
+                    "first-step" if step == 1
+                    else "last-step" if step == self._steps
+                    else "mid-span"
+                )
+            return bulk
+
+        def choose_spy(scheduler, protect):
+            victim = choose(scheduler, protect)
+            running = scheduler.running
+            if running[-1] is protect:
+                self.seen.add("newest-grows")
+            if victim is not None:
+                at = next(i for i, r in enumerate(running) if r is victim)
+                if any(r.is_finished for r in running[at + 1:]):
+                    self.seen.add("finished-skipped")
+            return victim
+
+        def prefill_spy(engine, run, admitted, decoding, riders):
+            if riders and run.scheduler.stats.preemptions:
+                self.seen.add("riders")
+            return prefill(engine, run, admitted, decoding, riders)
+
+        monkeypatch.setattr(ServingEngine, "_commit_optimistic_span", commit_spy)
+        monkeypatch.setattr(PagedKVAllocator, "lockstep_headroom", headroom_spy)
+        monkeypatch.setattr(ServingEngine, "_choose_victim", staticmethod(choose_spy))
+        monkeypatch.setattr(ServingEngine, "_run_prefill", prefill_spy)
+
+
+class TestOptimisticEquivalence:
+    @pytest.mark.parametrize("seed", MATRIX_SEEDS)
+    def test_random_optimistic_bit_identity(self, kv_pool, seed):
+        trace, budget, dep, kwargs = optimistic_case(seed)
+        kv_pool(budget)
+        scalar = _run_drained(dep, _clone(trace), "scalar", **kwargs)
+        vector = _run_drained(dep, _clone(trace), "vector", **kwargs)
+        _assert_results_identical(scalar, vector)
+
+    def test_finished_request_skipped_as_victim(self, kv_pool):
+        trace, budget, dep, kwargs = finished_victim_case()
+        kv_pool(budget)
+        scalar = _run_drained(dep, _clone(trace), "scalar", **kwargs)
+        vector = _run_drained(dep, _clone(trace), "vector", **kwargs)
+        _assert_results_identical(scalar, vector)
+        oldest, middle, _ = vector.requests
+        assert oldest.preemptions >= 1
+        assert middle.preemptions == 0  # finished when the pool ran dry
+
+    def test_matrix_hits_every_exhaustion_position(self, kv_pool, monkeypatch):
+        """The matrix above replays exhaustion on a span's first, middle
+        and last step, with the newest request growing, finished requests
+        skipped as victims, and chunked-prefill riders in play."""
+        probe = _ReplayProbe(monkeypatch)
+        cases = [optimistic_case(seed) for seed in MATRIX_SEEDS]
+        for trace, budget, dep, kwargs in cases + [finished_victim_case()]:
+            kv_pool(budget)
+            _run_drained(dep, _clone(trace), "vector", **kwargs)
+        assert probe.seen == {
+            "first-step", "mid-span", "last-step",
+            "newest-grows", "finished-skipped", "riders",
+        }
+
+    def test_trace_events_identical_under_preemption(self, kv_pool):
+        """Preempt instants and kv_alloc samples take the tracer clock,
+        which the bulk path must leave where the per-token loop does."""
+        trace, budget, dep, kwargs = optimistic_case(3)
+        kv_pool(budget)
+        kwargs.update(optimistic=True)
+        scalar = _trace_events("scalar", dep, trace, **kwargs)
+        assert scalar == _trace_events("vector", dep, trace, **kwargs)
+        assert any(name == "preempt" for name, *_ in scalar)
+
+    def test_profile_reports_identical_under_preemption(self, kv_pool):
+        trace, budget, dep, kwargs = optimistic_case(4)
+        kv_pool(budget)
+        kwargs.update(optimistic=True)
+        assert _profile_json("scalar", dep, trace, **kwargs) == _profile_json(
+            "vector", dep, trace, **kwargs
+        )
+
+    def test_cluster_crash_retry_optimistic(self, kv_pool):
+        kv_pool(2048)
+        trace = open_loop_trace(32, 8.0, 256, 160, seed=3)
+        control = ControlPlane(
+            faults=FaultSchedule(
+                (FaultEvent("crash", at_s=2.0, replica="replica1"),)
+            ),
+            retry=RetryPolicy(max_retries=3),
+        )
+        out = {}
+        for core in ("scalar", "vector"):
+            out[core] = _cluster_json(
+                core, trace=trace, optimistic=True, max_concurrency=16,
+                control=control,
+            )
+        assert out["scalar"] == out["vector"]
+        result = json.loads(out["vector"])
+        assert result["retries"] > 0
+        assert sum(r["preemptions"] for r in result["requests"]) > 0
 
 
 # ----------------------------------------------------------------------
