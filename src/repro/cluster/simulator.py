@@ -55,7 +55,7 @@ from repro.control.autoscale import (
 )
 from repro.control.plane import ControlPlane
 from repro.core.request import GenerationRequest, RequestState
-from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, percentile
+from repro.obs.metrics import Gauge, MetricsRegistry, MetricsSnapshot, percentile
 from repro.obs.profiler import ProfileReport, merge_profiles
 from repro.obs.telemetry import NULL_TELEMETRY, TelemetryHub, TelemetrySnapshot
 from repro.obs.tracer import EventTracer, TraceEvent
@@ -119,6 +119,9 @@ class Replica:
         self.prefix_cache_slots = prefix_cache_slots
         self._prefix_lru: dict[int, None] = {}  # insertion-ordered LRU
         self.served: list[GenerationRequest] = []  # originals routed here
+        # (queue_depth, outstanding_tokens, kv_occupancy) fleet gauges,
+        # bound by the simulator on the replica's first sample.
+        self.gauges: tuple[Gauge, Gauge, Gauge] | None = None
 
     def apply_telemetry_scale(self, scale: float) -> None:
         """Re-weight routing capacity from an observed utilization signal.
@@ -1182,20 +1185,26 @@ class ClusterSimulator:
     # ------------------------------------------------------------------
 
     def _sample_gauges(self, replicas: list[Replica], now: float) -> None:
-        """Per-replica fleet gauges at each routing instant."""
-        registry = self._registry
+        """Per-replica fleet gauges at each routing instant.
+
+        Each replica's three gauges are registered on its first sample
+        (so registry order follows first sampling, scaled-up replicas
+        included) and their handles kept on the replica after that.
+        """
         for replica in replicas:
             if not replica.alive:
                 continue
-            registry.gauge(f"{replica.name}.queue_depth").set(
-                replica.queue_depth, ts_s=now
-            )
-            registry.gauge(f"{replica.name}.outstanding_tokens").set(
-                replica.outstanding_tokens, ts_s=now
-            )
-            registry.gauge(f"{replica.name}.kv_occupancy").set(
-                replica.kv_used_fraction, ts_s=now
-            )
+            gauges = replica.gauges
+            if gauges is None:
+                registry = self._registry
+                gauges = replica.gauges = tuple(
+                    registry.gauge(f"{replica.name}.{signal}")
+                    for signal in ("queue_depth", "outstanding_tokens", "kv_occupancy")
+                )
+            queue_depth, outstanding, kv_occupancy = gauges
+            queue_depth.set(replica.queue_depth, ts_s=now)
+            outstanding.set(replica.outstanding_tokens, ts_s=now)
+            kv_occupancy.set(replica.kv_used_fraction, ts_s=now)
 
     def _finalize(self, trace: list[GenerationRequest]) -> ClusterResult:
         registry = self._registry

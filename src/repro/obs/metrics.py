@@ -70,43 +70,82 @@ class Counter:
 
 
 class Gauge:
-    """Sampled value over time (queue depth, KV occupancy, batch size)."""
+    """Sampled value over time (queue depth, KV occupancy, batch size).
 
-    __slots__ = ("name", "samples")
+    Keeps streaming statistics, not the samples: O(1) time and memory per
+    :meth:`set`.  Every statistic equals what a fold over the full sample
+    list would give, bit for bit — min/max replace on ``<``/``>`` exactly
+    as the ``min()``/``max()`` builtins do (NaN order included), and the
+    time-weighted sum adds each held interval in sample order.  The one
+    value list kept is for the zero-span fallback (every sample at one
+    instant: a plain mean through ``sum()``, compensated on Python 3.12+),
+    and it is dropped at the first sample with a later timestamp.
+    """
+
+    __slots__ = (
+        "name", "count", "minimum", "maximum", "_first_ts", "_last_ts",
+        "_last_value", "_weighted", "_instant_values",
+    )
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.samples: list[tuple[float, float]] = []  # (ts_s, value)
+        self.count = 0
+        self.minimum: float = float("nan")
+        self.maximum: float = float("nan")
+        self._first_ts = float("-inf")
+        self._last_ts = float("-inf")
+        self._last_value: float = float("nan")
+        self._weighted = 0.0  # sum of value * held interval
+        # Samples while all share the first timestamp; None afterwards.
+        self._instant_values: list[float] | None = None
 
     def set(self, value: float, ts_s: float = 0.0) -> None:
+        last_ts = self._last_ts
         # Samples must arrive in time order: the time-weighted mean and
         # hold-last semantics silently corrupt on a rewound clock, so an
         # out-of-order set fails loudly (equal timestamps are fine — the
-        # engine samples several gauges at the same instant).
-        if self.samples and ts_s < self.samples[-1][0]:
+        # engine samples several gauges at the same instant).  Written as
+        # ``not >=`` so a NaN timestamp fails too, first sample included
+        # (``last_ts`` starts at -inf).
+        if not ts_s >= last_ts:
+            if ts_s != ts_s:
+                raise ValueError(f"NaN timestamp on gauge {self.name!r}")
             raise ValueError(
                 f"out-of-order sample on gauge {self.name!r}: "
-                f"ts {ts_s} < last ts {self.samples[-1][0]}"
+                f"ts {ts_s} < last ts {last_ts}"
             )
-        self.samples.append((ts_s, value))
+        if self.count:
+            self._weighted += self._last_value * (ts_s - last_ts)
+            if value < self.minimum:
+                self.minimum = value
+            if value > self.maximum:
+                self.maximum = value
+            instant = self._instant_values
+            if instant is not None:
+                if ts_s == self._first_ts:
+                    instant.append(value)
+                else:
+                    self._instant_values = None
+        else:
+            self._first_ts = ts_s
+            self.minimum = self.maximum = value
+            self._instant_values = [value]
+        self._last_ts = ts_s
+        self._last_value = value
+        self.count += 1
 
     @property
     def last(self) -> float:
-        return self.samples[-1][1] if self.samples else float("nan")
+        return self._last_value
 
     def time_weighted_mean(self) -> float:
         """Mean weighted by the interval each sample was in effect."""
-        if not self.samples:
-            return float("nan")
-        if len(self.samples) == 1:
-            return self.samples[0][1]
-        total = 0.0
-        span = self.samples[-1][0] - self.samples[0][0]
+        if self.count <= 1:
+            return self._last_value  # NaN when empty
+        span = self._last_ts - self._first_ts
         if span <= 0.0:
-            return sum(v for _, v in self.samples) / len(self.samples)
-        for (t0, v), (t1, _) in zip(self.samples, self.samples[1:]):
-            total += v * (t1 - t0)
-        return total / span
+            return sum(self._instant_values) / self.count
+        return self._weighted / span
 
 
 class Histogram:
@@ -335,19 +374,18 @@ class MetricsRegistry:
         return inst
 
     def snapshot(self) -> MetricsSnapshot:
-        gauges = {}
-        for name, g in self._gauges.items():
-            values = [v for _, v in g.samples]
-            gauges[name] = GaugeStats(
-                last=g.last,
-                minimum=min(values) if values else float("nan"),
-                maximum=max(values) if values else float("nan"),
-                time_weighted_mean=g.time_weighted_mean(),
-                num_samples=len(values),
-            )
         return MetricsSnapshot(
             counters={name: c.value for name, c in self._counters.items()},
-            gauges=gauges,
+            gauges={
+                name: GaugeStats(
+                    last=g.last,
+                    minimum=g.minimum,
+                    maximum=g.maximum,
+                    time_weighted_mean=g.time_weighted_mean(),
+                    num_samples=g.count,
+                )
+                for name, g in self._gauges.items()
+            },
             histograms={
                 name: HistogramStats(
                     count=h.count,

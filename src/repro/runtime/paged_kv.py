@@ -28,7 +28,11 @@ class KVAllocator:
     Allocators optionally carry a :class:`~repro.obs.tracer.Tracer` and
     emit ``kv_alloc`` counter samples on admit/free (pool occupancy over
     time, stamped at the tracer's clock).  Appends (per token or in bulk)
-    are not traced — that path is the simulator's hottest."""
+    are not traced — that path is the simulator's hottest.
+
+    ``used_tokens`` is a running count kept by every mutation (admit,
+    appends, free), not a scan over the resident sequences: fleet
+    gauges read it once per replica per routing decision."""
 
     tracer: Tracer = NULL_TRACER
 
@@ -93,6 +97,7 @@ class PagedKVAllocator(KVAllocator):
         self.tracer = tracer
         self._sequences: dict[int, _PagedSequence] = {}
         self._reserved_blocks = 0
+        self._used_tokens = 0  # running sum of context_tokens
 
     def _blocks_for(self, tokens: int) -> int:
         return -(-tokens // self.block_size)
@@ -141,6 +146,7 @@ class PagedKVAllocator(KVAllocator):
             growable=optimistic,
         )
         self._reserved_blocks += needed
+        self._used_tokens += prompt_tokens
         if self.tracer.enabled:
             self._trace_pool("admit")
 
@@ -165,6 +171,7 @@ class PagedKVAllocator(KVAllocator):
             self._reserved_blocks += growth
         seq.context_tokens += 1
         seq.mapped_blocks = needed
+        self._used_tokens += 1
 
     def lockstep_headroom(self, seq_ids: list[int], max_steps: int) -> int:
         """How many lockstep rounds of ``append_token`` over ``seq_ids``
@@ -228,12 +235,14 @@ class PagedKVAllocator(KVAllocator):
                 seq.reserved_blocks = needed
             seq.mapped_blocks = needed
         self._reserved_blocks += growth
+        self._used_tokens += steps * len(seq_ids)
 
     def free(self, seq_id: int) -> None:
         seq = self._sequences.pop(seq_id, None)
         if seq is None:
             raise AllocationError(f"sequence {seq_id} not admitted")
         self._reserved_blocks -= seq.reserved_blocks
+        self._used_tokens -= seq.context_tokens
         if self.tracer.enabled:
             self._trace_pool("free")
 
@@ -242,7 +251,7 @@ class PagedKVAllocator(KVAllocator):
 
     @property
     def used_tokens(self) -> int:
-        return sum(s.context_tokens for s in self._sequences.values())
+        return self._used_tokens
 
     @property
     def mapped_tokens(self) -> int:
@@ -282,6 +291,7 @@ class ContiguousKVAllocator(KVAllocator):
         self._capacity = capacity_tokens
         self.tracer = tracer
         self._reserved = 0
+        self._used_tokens = 0  # running sum of context_tokens
         self._sequences: dict[int, _ContiguousSequence] = {}
 
     @property
@@ -309,6 +319,7 @@ class ContiguousKVAllocator(KVAllocator):
             reserved_tokens=final_context_tokens, context_tokens=prompt_tokens
         )
         self._reserved += final_context_tokens
+        self._used_tokens += prompt_tokens
         if self.tracer.enabled:
             self._trace_pool("admit")
 
@@ -319,12 +330,14 @@ class ContiguousKVAllocator(KVAllocator):
         if seq.context_tokens + 1 > seq.reserved_tokens:
             raise AllocationError(f"sequence {seq_id} grew past its reservation")
         seq.context_tokens += 1
+        self._used_tokens += 1
 
     def free(self, seq_id: int) -> None:
         seq = self._sequences.pop(seq_id, None)
         if seq is None:
             raise AllocationError(f"sequence {seq_id} not admitted")
         self._reserved -= seq.reserved_tokens
+        self._used_tokens -= seq.context_tokens
         if self.tracer.enabled:
             self._trace_pool("free")
 
@@ -336,7 +349,7 @@ class ContiguousKVAllocator(KVAllocator):
 
     @property
     def used_tokens(self) -> int:
-        return sum(s.context_tokens for s in self._sequences.values())
+        return self._used_tokens
 
     @property
     def capacity_tokens(self) -> int:

@@ -81,6 +81,14 @@ def blended_trace(
         raise ValueError(f"num_requests must be >= 1, got {num_requests}")
     if min_tokens < 1 or max_tokens < min_tokens:
         raise ValueError("need 1 <= min_tokens <= max_tokens")
+    for name, mean in (
+        ("mean_input_tokens", mean_input_tokens),
+        ("mean_output_tokens", mean_output_tokens),
+    ):
+        # log() of a non-positive mean is -inf/NaN: clipped to min_tokens
+        # or an integer-conversion crash rather than an error.
+        if not (math.isfinite(mean) and mean > 0):
+            raise ValueError(f"{name} must be finite and positive, got {mean}")
     rng = np.random.default_rng(seed)
     sigma = 0.6
     # E[lognormal(mu, sigma)] = exp(mu + sigma^2/2); solve mu for the mean.
@@ -106,7 +114,7 @@ def open_loop_trace(
     The standard online-serving workload: exponential inter-arrival gaps
     at ``rate_per_s`` combined with the heavy-tailed length mix of
     :func:`blended_trace`, from one seed.  Used by the load generator and
-    the cluster simulator CLI.
+    the cluster simulator CLI.  Means must be finite and positive.
     """
     arrivals = poisson_trace(num_requests, rate_per_s, 1, 1, seed=seed)
     shaped = blended_trace(

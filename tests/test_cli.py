@@ -225,6 +225,13 @@ class TestClusterExportFlags:
         "--max-concurrency", "8",
     ]
 
+    @pytest.mark.parametrize("flag", ["--mean-input-tokens", "--mean-output-tokens"])
+    @pytest.mark.parametrize("bad", ["0", "-5"])
+    def test_non_positive_mean_tokens_rejected(self, flag, bad):
+        name = flag.lstrip("-").replace("-", "_")
+        with pytest.raises(ValueError, match=name):
+            main([*self._ARGS, flag, bad])
+
     def test_cluster_export_flags_are_deterministic(self, capsys, tmp_path):
         import json
 

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.obs.metrics import (
     Gauge,
@@ -104,6 +106,100 @@ class TestGauge:
         gauge.set(1.0, ts_s=1.0)
         assert math.isnan(gauge.time_weighted_mean())
         assert gauge.last == 1.0
+
+
+    def test_nan_timestamp_rejected(self):
+        gauge = Gauge("x")
+        with pytest.raises(ValueError, match="NaN timestamp"):
+            gauge.set(1.0, ts_s=float("nan"))  # first sample
+        gauge.set(1.0, ts_s=1.0)
+        with pytest.raises(ValueError, match="NaN timestamp"):
+            gauge.set(2.0, ts_s=float("nan"))
+        assert gauge.count == 1
+        assert gauge.time_weighted_mean() == 1.0
+
+
+class _ListGauge:
+    """The list-based gauge the streaming :class:`Gauge` replaced: keeps
+    every sample and folds them at read time.  Oracle for exact equality."""
+
+    def __init__(self) -> None:
+        self.samples: list[tuple[float, float]] = []
+
+    def set(self, value, ts_s):
+        self.samples.append((ts_s, value))
+
+    def stats(self):
+        values = [v for _, v in self.samples]
+        if not self.samples:
+            mean = float("nan")
+        elif len(self.samples) == 1:
+            mean = self.samples[0][1]
+        else:
+            total = 0.0
+            span = self.samples[-1][0] - self.samples[0][0]
+            if span <= 0.0:
+                mean = sum(values) / len(values)
+            else:
+                for (t0, v), (t1, _) in zip(self.samples, self.samples[1:]):
+                    total += v * (t1 - t0)
+                mean = total / span
+        return (
+            values[-1] if values else float("nan"),
+            min(values) if values else float("nan"),
+            max(values) if values else float("nan"),
+            mean,
+            len(values),
+        )
+
+
+def _same(a, b) -> bool:
+    """Bit-for-bit equality: same type and same shortest round-trip repr,
+    so NaN matches NaN, 0.0 differs from -0.0 and 1 from 1.0."""
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+_gauge_values = st.one_of(
+    st.integers(-1000, 1000),
+    st.floats(allow_nan=True, allow_infinity=False, width=64),
+)
+
+
+class TestStreamingGaugeEquivalence:
+    """Streaming statistics equal the list-based fold, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @example(samples=[(0.0, 7)], start=0.0)  # single sample keeps its type
+    @example(samples=[(0.0, 1), (1.0, 1.0), (1.0, 0.0), (1.0, -0.0)], start=0.0)
+    @example(samples=[(0.0, 0.1), (0.0, 0.2), (0.0, float("nan"))], start=3.0)
+    @example(samples=[(0.0, 0.1), (0.0, 0.7), (0.0, 0.2)], start=3.0)
+    @given(
+        samples=st.lists(
+            st.tuples(
+                # Gap to the previous sample; zeros give runs of equal
+                # timestamps (several gauges sampled at one instant).
+                st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
+                _gauge_values,
+            ),
+            max_size=40,
+        ),
+        start=st.floats(-100.0, 100.0),
+    )
+    def test_matches_list_fold(self, samples, start):
+        registry, oracle = MetricsRegistry(), _ListGauge()
+        streaming = registry.gauge("g")
+        ts = start
+        for gap, value in samples:
+            ts += gap
+            streaming.set(value, ts_s=ts)
+            oracle.set(value, ts_s=ts)
+        stats = registry.snapshot().gauges["g"]
+        got = (stats.last, stats.minimum, stats.maximum,
+               stats.time_weighted_mean, stats.num_samples)
+        want = oracle.stats()
+        assert all(_same(g, w) for g, w in zip(got, want)), (got, want)
+        assert _same(streaming.last, want[0])
+        assert _same(streaming.time_weighted_mean(), want[3])
 
 
 class TestHistogram:

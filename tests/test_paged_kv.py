@@ -184,6 +184,72 @@ class TestLockstepGrowth:
             alloc.lockstep_headroom([7], 3)
 
 
+def _used_tokens_scan(alloc) -> int:
+    """Reference O(n) recomputation of ``used_tokens``."""
+    return sum(seq.context_tokens for seq in alloc._sequences.values())
+
+
+class TestUsedTokensCounter:
+    """The running ``used_tokens`` count against a scan of the sequences,
+    after every step of random admit / append / free sequences."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["admit", "append_token", "append_tokens", "free"]),
+                st.integers(0, 5),  # sequence id
+                st.integers(1, 40),  # prompt tokens / bulk steps
+                st.integers(0, 40),  # growth budget beyond the prompt
+                st.booleans(),  # optimistic admission
+            ),
+            max_size=60,
+        ),
+        block_size=st.integers(1, 16),
+    )
+    def test_paged_counter_matches_scan(self, ops, block_size):
+        alloc = PagedKVAllocator(24, block_size)
+        for op, seq_id, tokens, growth, optimistic in ops:
+            try:
+                if op == "admit":
+                    alloc.admit(seq_id, tokens, tokens + growth, optimistic=optimistic)
+                elif op == "append_token":
+                    alloc.append_token(seq_id)
+                elif op == "append_tokens":
+                    alloc.append_tokens(list(alloc._sequences), tokens % 8)
+                else:
+                    alloc.free(seq_id)
+            except AllocationError:
+                pass
+            assert alloc.used_tokens == _used_tokens_scan(alloc)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["admit", "append_token", "free"]),
+                st.integers(0, 5),
+                st.integers(1, 40),
+                st.integers(0, 40),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_contiguous_counter_matches_scan(self, ops):
+        alloc = ContiguousKVAllocator(200)
+        for op, seq_id, tokens, growth in ops:
+            try:
+                if op == "admit":
+                    alloc.admit(seq_id, tokens, tokens + growth)
+                elif op == "append_token":
+                    alloc.append_token(seq_id)
+                else:
+                    alloc.free(seq_id)
+            except AllocationError:
+                pass
+            assert alloc.used_tokens == _used_tokens_scan(alloc)
+
+
 class TestContiguousAllocator:
     def test_reserves_full_context_up_front(self):
         alloc = ContiguousKVAllocator(100)

@@ -116,6 +116,24 @@ class TestEnginePreemption:
         for r in result.requests:
             assert r.generated_tokens == r.output_tokens
 
+    @pytest.mark.parametrize("core", ["vector", "scalar", "legacy"])
+    def test_used_tokens_counter_matches_scan(self, core):
+        """The allocator's running ``used_tokens`` count equals a scan of
+        its sequences after every step of a preempting run, bulk decode
+        commits and preemption frees included."""
+        engine = ServingEngine(_dep(), max_concurrency=24, optimistic=True, core=core)
+        run = engine.start()
+        for request in fixed_batch_trace(24, 1800, 2200):
+            run.submit(request)
+        allocator = run.scheduler.allocator
+        while run.has_work:
+            run.step()
+            assert allocator.used_tokens == sum(
+                seq.context_tokens for seq in allocator._sequences.values()
+            )
+        assert run.result().scheduler_stats.preemptions > 0
+        assert allocator.used_tokens == 0
+
     def test_no_preemption_when_pool_is_roomy(self):
         engine = ServingEngine(_dep(), max_concurrency=4, optimistic=True)
         result = engine.run(fixed_batch_trace(4, 128, 128))

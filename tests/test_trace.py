@@ -6,6 +6,7 @@ from repro.runtime.workload import (
     TraceSummary,
     blended_trace,
     fixed_batch_trace,
+    open_loop_trace,
     poisson_trace,
 )
 
@@ -75,6 +76,17 @@ class TestBlended:
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
             blended_trace(10, 64, 64, min_tokens=100, max_tokens=50)
+
+    @pytest.mark.parametrize("bad", [0, -5, float("nan"), float("inf")])
+    def test_rejects_non_positive_or_nan_means(self, bad):
+        with pytest.raises(ValueError, match="mean_input_tokens"):
+            blended_trace(10, bad, 64)
+        with pytest.raises(ValueError, match="mean_output_tokens"):
+            blended_trace(10, 64, bad)
+        with pytest.raises(ValueError, match="mean_input_tokens"):
+            open_loop_trace(10, 2.0, bad, 64)
+        with pytest.raises(ValueError, match="mean_output_tokens"):
+            open_loop_trace(10, 2.0, 64, bad)
 
 
 class TestTraceSummary:
