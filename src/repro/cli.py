@@ -69,6 +69,14 @@ from repro.models.zoo import list_models
 __all__ = ["main", "build_parser"]
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="llm-inference-bench",
@@ -156,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_p.add_argument(
         "--num-requests",
-        type=int,
+        type=_positive_int,
         default=None,
         help="request count for --rate workloads (default 4x batch size)",
     )
@@ -189,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile_p.add_argument(
         "--num-requests",
-        type=int,
+        type=_positive_int,
         default=None,
         help="request count for --rate workloads (default 4x batch size)",
     )
@@ -637,7 +645,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     runner = BenchmarkRunner(use_engine=True)
     dep = runner.deployment(args.model, args.hardware, args.framework)
     if args.rate is not None:
-        num = args.num_requests or 4 * args.batch_size
+        num = (
+            4 * args.batch_size if args.num_requests is None else args.num_requests
+        )
         workload = poisson_trace(
             num, args.rate, args.input_tokens, args.output_tokens, seed=args.seed
         )
@@ -699,7 +709,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     runner = BenchmarkRunner(use_engine=True)
     dep = runner.deployment(args.model, args.hardware, args.framework)
     if args.rate is not None:
-        num = args.num_requests or 4 * args.batch_size
+        num = (
+            4 * args.batch_size if args.num_requests is None else args.num_requests
+        )
         workload = poisson_trace(
             num, args.rate, args.input_tokens, args.output_tokens, seed=args.seed
         )

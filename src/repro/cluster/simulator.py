@@ -36,10 +36,12 @@ control events, so such runs stay bit-identical to the plain simulator.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import heapq
 import itertools
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -72,6 +74,8 @@ _RETRY = "retry"
 _FAULT = "fault"
 _FAULT_END = "fault_end"
 _TICK = "tick"
+
+_finish_time = operator.attrgetter("finish_time")
 
 #: Batch-1 decode context at which replica capacity weights are compared.
 _CAPACITY_PROBE_CONTEXT = 1024
@@ -419,7 +423,10 @@ class ClusterSimulator:
         self._lost_handoffs = 0
         self._fault_log: list[dict] = []
         self._scale_log: list[dict] = []
+        # Finished requests the control window can still see, sorted by
+        # finish time (kept only on runs with control ticks).
         self._completions: list[GenerationRequest] = []
+        self._view_s = float("-inf")
         self._attempts: dict[int, int] = {}
         self._kv_windows: tuple[tuple[float, float], ...] = ()
         self._last_scale_s = float("-inf")
@@ -575,6 +582,7 @@ class ClusterSimulator:
         self._fault_log = []
         self._scale_log = []
         self._completions = []
+        self._view_s = float("-inf")
         self._attempts = {}
         self._kv_windows = ()
         self._last_scale_s = float("-inf")
@@ -666,8 +674,8 @@ class ClusterSimulator:
             else:
                 orig = proxy  # submitted directly (no proxy)
             if orig.state == RequestState.FINISHED:
-                if self._control_on:
-                    self._completions.append(orig)
+                if self._control_ticks:
+                    bisect.insort(self._completions, orig, key=_finish_time)
                 if self._telemetry_on:
                     self._record_completion(orig)
 
@@ -976,8 +984,16 @@ class ClusterSimulator:
             for r in self._replicas
             if r.role == role and r.alive and not r.draining and r.start_s > ts
         ]
-        window = self.control.metrics_window_s
-        recent = [r for r in self._completions if r.finish_time >= ts - window]
+        # Ticks are monotone, so completions that fall behind this tick's
+        # window stay behind every later one: drop them for good.
+        assert ts >= self._view_s, f"control tick went back: {ts} < {self._view_s}"
+        self._view_s = ts
+        recent = self._completions
+        del recent[
+            : bisect.bisect_left(
+                recent, ts - self.control.metrics_window_s, key=_finish_time
+            )
+        ]
         slo = getattr(self.control.autoscaler, "slo", None) or ServiceLevelObjective()
         if recent:
             attainment = sum(1 for r in recent if slo.met_by(r)) / len(recent)

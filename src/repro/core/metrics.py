@@ -18,6 +18,7 @@ __all__ = [
     "perf_per_watt",
     "COMPONENT_FIELDS",
     "CostComponents",
+    "partition_breakdown",
     "LatencyBreakdown",
     "InferenceMetrics",
 ]
@@ -155,6 +156,37 @@ COMPONENT_FIELDS = (
     "overhead_s",
 )
 
+_ZERO_PARTITION = (0.0,) * len(COMPONENT_FIELDS)
+
+
+def partition_breakdown(bd: LatencyBreakdown) -> tuple[float, ...]:
+    """The :class:`CostComponents` partition of ``bd`` as a plain tuple in
+    :data:`COMPONENT_FIELDS` order (for accumulators that add terms
+    without building an object per step)."""
+    legs = (
+        bd.compute_s,
+        bd.weight_memory_s,
+        bd.kv_memory_s,
+        bd.activation_memory_s,
+        bd.communication_s,
+        bd.overhead_s,
+    )
+    total = bd.total_s
+    raw = 0.0
+    for leg in legs:
+        raw += leg
+    if total <= 0.0:
+        return _ZERO_PARTITION
+    if raw <= 0.0:
+        return _ZERO_PARTITION[:-1] + (total,)
+    scale = total / raw
+    parts = [leg * scale for leg in legs[:-1]]
+    partial = 0.0
+    for part in parts:
+        partial += part
+    parts.append(total - partial)  # overhead absorbs the rounding slack
+    return tuple(parts)
+
 
 @dataclass(frozen=True)
 class CostComponents:
@@ -184,29 +216,7 @@ class CostComponents:
     @classmethod
     def from_breakdown(cls, bd: LatencyBreakdown) -> "CostComponents":
         """Partition ``bd.total_s`` across its raw legs pro-rata."""
-        legs = (
-            bd.compute_s,
-            bd.weight_memory_s,
-            bd.kv_memory_s,
-            bd.activation_memory_s,
-            bd.communication_s,
-            bd.overhead_s,
-        )
-        total = bd.total_s
-        raw = 0.0
-        for leg in legs:
-            raw += leg
-        if total <= 0.0:
-            return cls()
-        if raw <= 0.0:
-            return cls(overhead_s=total)
-        scale = total / raw
-        parts = [leg * scale for leg in legs[:-1]]
-        partial = 0.0
-        for part in parts:
-            partial += part
-        parts.append(total - partial)  # overhead absorbs the rounding slack
-        return cls(*parts)
+        return cls(*partition_breakdown(bd))
 
     @property
     def total_s(self) -> float:

@@ -40,10 +40,18 @@ rates over the step, viewable alongside the engine's span tracks.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.analysis.bottleneck import Bottleneck, PhaseAttribution
-from repro.core.metrics import COMPONENT_FIELDS, CostComponents, LatencyBreakdown
+from repro.core.metrics import (
+    COMPONENT_FIELDS,
+    CostComponents,
+    LatencyBreakdown,
+    partition_breakdown,
+)
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.perf.kernel import get_kernel
 from repro.perf.phases import Deployment
@@ -419,34 +427,57 @@ class ProfileReport:
         )
 
 
-class _PhaseAcc:
-    """Mutable accumulator behind one :class:`PhaseProfile`."""
+#: Columns of an attribution row: time, energy, then the cost partition
+#: in :data:`COMPONENT_FIELDS` order.
+_ROW_WIDTH = 2 + len(COMPONENT_FIELDS)
 
-    __slots__ = (
-        "time_s", "events", "steps", "tokens", "flops", "bytes_moved",
-        "energy_j", "components",
-    )
+
+class _PhaseAcc:
+    """Mutable accumulator behind one :class:`PhaseProfile`.
+
+    ``sums`` holds the attribution row totals as plain floats, each
+    column summed in event order exactly like a field of the frozen
+    profile it becomes."""
+
+    __slots__ = ("events", "steps", "tokens", "flops", "bytes_moved", "sums")
 
     def __init__(self) -> None:
-        self.time_s = 0.0
         self.events = 0
         self.steps = 0
         self.tokens = 0
         self.flops = 0.0
         self.bytes_moved = 0.0
-        self.energy_j = 0.0
-        self.components = CostComponents()
+        self.sums = [0.0] * _ROW_WIDTH
 
+    def add(
+        self,
+        row,  # noqa: ANN001 - sequence of _ROW_WIDTH floats
+        events: int,
+        steps: int,
+        tokens: int,
+        flops: float,
+        bytes_moved: float,
+    ) -> None:
+        self.events += events
+        self.steps += steps
+        self.tokens += tokens
+        self.flops += flops
+        self.bytes_moved += bytes_moved
+        self.sums = list(map(operator.add, self.sums, row))
 
-class _RequestAcc:
-    """Mutable accumulator behind one :class:`RequestProfile`."""
-
-    __slots__ = ("time_s", "energy_j", "components")
-
-    def __init__(self) -> None:
-        self.time_s = 0.0
-        self.energy_j = 0.0
-        self.components = CostComponents()
+    def profile(self, phase: str) -> PhaseProfile:
+        time_s, energy_j, *parts = self.sums
+        return PhaseProfile(
+            phase=phase,
+            time_s=time_s,
+            events=self.events,
+            steps=self.steps,
+            tokens=self.tokens,
+            flops=self.flops,
+            bytes_moved=self.bytes_moved,
+            energy_j=energy_j,
+            components=CostComponents(*parts),
+        )
 
 
 class NullProfiler:
@@ -512,7 +543,10 @@ class StepProfiler(NullProfiler):
             spec.memory_bandwidth_bytes_s * deployment.num_devices
         )
         self._phases: dict[str, _PhaseAcc] = {}
-        self._requests: dict[int, _RequestAcc] = {}  # keyed by id(request)
+        # Per-request attribution: one row of ``_table`` per request seen,
+        # found by id(request); the table grows by doubling.
+        self._rows: dict[int, int] = {}
+        self._table = np.zeros((8, _ROW_WIDTH))
         self.idle_s = 0.0
         self.idle_energy_j = 0.0
 
@@ -528,12 +562,11 @@ class StepProfiler(NullProfiler):
         requests,  # noqa: ANN001 - list[GenerationRequest]
     ) -> None:
         """Attribute one prefill chunk (committed cost ``breakdown``)."""
-        components = CostComponents.from_breakdown(breakdown)
         flops, bytes_moved = self.kernel.prefill_traffic(batch_size, chunk_tokens)
         self._record(
-            "prefill", ts_s, breakdown.total_s, components,
-            batch_size * chunk_tokens, flops, bytes_moved, energy_j,
-            requests, steps=1,
+            "prefill", ts_s,
+            (breakdown.total_s, energy_j, *partition_breakdown(breakdown)),
+            batch_size * chunk_tokens, flops, bytes_moved, requests, steps=1,
         )
 
     def record_decode(
@@ -547,14 +580,16 @@ class StepProfiler(NullProfiler):
         requests,  # noqa: ANN001 - list[GenerationRequest]
     ) -> None:
         """Attribute one coalesced decode span (``steps`` iterations)."""
-        components = CostComponents.from_breakdown(step_breakdown).scaled(
-            float(steps)
-        )
+        scale = float(steps)
         flops, bytes_moved = self.kernel.decode_step_traffic(batch_size, span_ctx)
         self._record(
-            "decode", ts_s, step_breakdown.total_s * steps, components,
-            batch_size * steps, flops * steps, bytes_moved * steps, energy_j,
-            requests, steps=steps,
+            "decode", ts_s,
+            (
+                step_breakdown.total_s * steps, energy_j,
+                *(part * scale for part in partition_breakdown(step_breakdown)),
+            ),
+            batch_size * steps, flops * steps, bytes_moved * steps, requests,
+            steps=steps,
         )
 
     def record_idle(self, ts_s: float, span_s: float, energy_j: float) -> None:
@@ -575,38 +610,29 @@ class StepProfiler(NullProfiler):
         self,
         phase: str,
         ts_s: float,
-        total_s: float,
-        components: CostComponents,
+        row: tuple[float, ...],  # (total_s, energy_j, *components)
         tokens: int,
         flops: float,
         bytes_moved: float,
-        energy_j: float,
         requests,  # noqa: ANN001
         steps: int,
     ) -> None:
         acc = self._phases.get(phase)
         if acc is None:
             acc = self._phases[phase] = _PhaseAcc()
-        acc.time_s += total_s
-        acc.events += 1
-        acc.steps += steps
-        acc.tokens += tokens
-        acc.flops += flops
-        acc.bytes_moved += bytes_moved
-        acc.energy_j += energy_j
-        acc.components = acc.components + components
+        acc.add(row, 1, steps, tokens, flops, bytes_moved)
 
         if requests:
-            share = 1.0 / len(requests)
-            shared = components.scaled(share)
-            for request in requests:
-                req = self._requests.get(id(request))
-                if req is None:
-                    req = self._requests[id(request)] = _RequestAcc()
-                req.time_s += total_s * share
-                req.energy_j += energy_j * share
-                req.components = req.components + shared
+            # Each participant's row gains ``row * share``: per column the
+            # same product and the same addition, in the same order, as a
+            # fold over frozen objects.  ``add.at`` adds repeated rows in
+            # turn.
+            rows = list(map(self._rows.get, map(id, requests)))
+            if None in rows:
+                rows = self._assign_rows(requests)
+            np.add.at(self._table, rows, np.multiply(row, 1.0 / len(requests)))
 
+        total_s, energy_j = row[0], row[1]
         if self.tracer.enabled and total_s > 0.0:
             self.tracer.counter(
                 "profile", "mfu", ts_s=ts_s,
@@ -628,6 +654,20 @@ class StepProfiler(NullProfiler):
                     value=energy_j / tokens,
                 )
 
+    def _assign_rows(self, requests) -> list[int]:  # noqa: ANN001
+        """Rows of ``requests``, giving first-seen requests fresh rows."""
+        rows = self._rows
+        for request in requests:
+            rows.setdefault(id(request), len(rows))
+        if len(rows) > len(self._table):
+            # In place (zero-filled): the table is private and no view of
+            # it outlives a statement, so the reference check is moot.
+            self._table.resize(
+                (max(2 * len(self._table), len(rows)), _ROW_WIDTH),
+                refcheck=False,
+            )
+        return [rows[id(request)] for request in requests]
+
     # ------------------------------------------------------------------
 
     def running_totals(self) -> dict[str, float]:
@@ -644,10 +684,10 @@ class StepProfiler(NullProfiler):
         energy_j = self.idle_energy_j
         tokens = 0
         for acc in self._phases.values():
-            busy_s += acc.time_s
+            busy_s += acc.sums[0]
             flops += acc.flops
             bytes_moved += acc.bytes_moved
-            energy_j += acc.energy_j
+            energy_j += acc.sums[1]
             tokens += acc.tokens
         return {
             "busy_s": busy_s,
@@ -670,37 +710,27 @@ class StepProfiler(NullProfiler):
         OOM-rejected trace) appear with zero attribution.
         """
         dep = self.deployment
-        phases = []
-        for phase_name in _PHASE_ORDER:
-            acc = self._phases.get(phase_name)
-            if acc is None:
-                continue
-            phases.append(
-                PhaseProfile(
-                    phase=phase_name,
-                    time_s=acc.time_s,
-                    events=acc.events,
-                    steps=acc.steps,
-                    tokens=acc.tokens,
-                    flops=acc.flops,
-                    bytes_moved=acc.bytes_moved,
-                    energy_j=acc.energy_j,
-                    components=acc.components,
-                )
-            )
+        phases = [
+            self._phases[phase_name].profile(phase_name)
+            for phase_name in _PHASE_ORDER
+            if phase_name in self._phases
+        ]
+        table = self._table
+        unseen = [0.0] * _ROW_WIDTH
         request_profiles = []
         for index, request in enumerate(requests):
-            acc = self._requests.get(id(request))
-            if acc is None:
-                acc = _RequestAcc()
+            row = self._rows.get(id(request))
+            time_s, energy_j, *parts = (
+                unseen if row is None else table[row].tolist()
+            )
             request_profiles.append(
                 RequestProfile(
                     index=index,
                     input_tokens=request.input_tokens,
                     output_tokens=request.output_tokens,
-                    time_s=acc.time_s,
-                    energy_j=acc.energy_j,
-                    components=acc.components,
+                    time_s=time_s,
+                    energy_j=energy_j,
+                    components=CostComponents(*parts),
                 )
             )
         busy_s = sum(p.time_s for p in phases)
@@ -751,28 +781,15 @@ def merge_profiles(
             acc = phase_accs.get(phase.phase)
             if acc is None:
                 acc = phase_accs[phase.phase] = _PhaseAcc()
-            acc.time_s += phase.time_s
-            acc.events += phase.events
-            acc.steps += phase.steps
-            acc.tokens += phase.tokens
-            acc.flops += phase.flops
-            acc.bytes_moved += phase.bytes_moved
-            acc.energy_j += phase.energy_j
-            acc.components = acc.components + phase.components
+            acc.add(
+                (phase.time_s, phase.energy_j, *phase.components.as_dict().values()),
+                phase.events, phase.steps, phase.tokens, phase.flops,
+                phase.bytes_moved,
+            )
     phases = tuple(
-        PhaseProfile(
-            phase=phase_name,
-            time_s=acc.time_s,
-            events=acc.events,
-            steps=acc.steps,
-            tokens=acc.tokens,
-            flops=acc.flops,
-            bytes_moved=acc.bytes_moved,
-            energy_j=acc.energy_j,
-            components=acc.components,
-        )
+        phase_accs[phase_name].profile(phase_name)
         for phase_name in _PHASE_ORDER
-        if (acc := phase_accs.get(phase_name)) is not None
+        if phase_name in phase_accs
     )
     requests = tuple(
         RequestProfile(

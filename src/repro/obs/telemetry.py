@@ -119,24 +119,32 @@ class TimeSeries:
             return float("nan")
         return float(self._ts[(self._head - 1) % self.capacity])
 
+    def _ordered(self) -> tuple[np.ndarray, np.ndarray]:
+        """Timestamps and values, oldest first: views of the live slice
+        while the ring has not wrapped, copies once it has."""
+        if self._size < self.capacity or self._head == 0:
+            return self._ts[: self._size], self._values[: self._size]
+        return self.timestamps(), self.values()
+
     def value_at(self, ts_s: float, default: float = float("nan")) -> float:
         """Value of the last sample at or before ``ts_s`` (hold-last)."""
         if not self._size:
             return default
-        ts = self.timestamps()
+        ts, values = self._ordered()
         idx = int(np.searchsorted(ts, ts_s, side="right")) - 1
         if idx < 0:
             return default
-        return float(self.values()[idx])
+        return float(values[idx])
 
     def window(self, window_s: float, now_s: float) -> np.ndarray:
-        """Values of samples with ``now_s - window_s < ts <= now_s``."""
+        """Values of samples with ``now_s - window_s < ts <= now_s``
+        (a copy: later appends do not change it)."""
         if not self._size:
             return np.empty(0, dtype=np.float64)
-        ts = self.timestamps()
+        ts, values = self._ordered()
         lo = int(np.searchsorted(ts, now_s - window_s, side="right"))
         hi = int(np.searchsorted(ts, now_s, side="right"))
-        return self.values()[lo:hi]
+        return values[lo:hi].copy()
 
     def delta(self, window_s: float, now_s: float) -> float:
         """Change of a cumulative counter over the trailing window.
@@ -252,6 +260,26 @@ class QuantileSketch:
         self._min = min(self._min, value)
         self._max = max(self._max, value)
 
+    def add_many(self, values) -> None:  # noqa: ANN001 - array-like of floats
+        """Add every value, leaving the same state as :meth:`add` on each
+        in turn; raises on NaN before changing anything."""
+        values = np.asarray(values, dtype=np.float64).ravel()
+        if np.isnan(values).any():
+            raise ValueError("cannot add NaN to a quantile sketch")
+        if not values.size:
+            return
+        edges = self._edges
+        idx = np.searchsorted(edges, values, side="right")
+        idx[values < edges[0]] = 0
+        idx[values >= edges[-1]] = len(self._counts) - 1
+        self._counts += np.bincount(idx, minlength=len(self._counts))
+        self._count += int(values.size)
+        # The builtins keep the first of equal extremes (0.0 vs -0.0),
+        # exactly like folding add().
+        as_floats = values.tolist()
+        self._min = min(self._min, min(as_floats))
+        self._max = max(self._max, max(as_floats))
+
     def quantile(self, q: float) -> float:
         if not 0.0 <= q <= 1.0:
             raise ValueError("q must be in [0, 1]")
@@ -259,7 +287,7 @@ class QuantileSketch:
             return float("nan")
         rank = q * (self._count - 1)
         cum = 0
-        for idx, bucket_count in enumerate(self._counts):
+        for idx, bucket_count in enumerate(self._counts.tolist()):
             if not bucket_count:
                 continue
             if rank < cum + bucket_count:
@@ -282,8 +310,7 @@ def windowed_quantile(
     """Windowed quantile of a sample series via a fresh fixed-bucket
     sketch (deterministic; NaN when the window is empty)."""
     sketch = QuantileSketch()
-    for value in series.window(window_s, now_s):
-        sketch.add(float(value))
+    sketch.add_many(series.window(window_s, now_s))
     return sketch.quantile(q)
 
 

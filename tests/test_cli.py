@@ -180,6 +180,101 @@ class TestProfileCommand:
         assert "OOM" in capsys.readouterr().out
 
 
+class TestNumRequestsValidation:
+    _ARGS = [
+        "--model", "LLaMA-3-8B",
+        "--hardware", "A100",
+        "--framework", "vLLM",
+        "--batch-size", "2",
+        "--input-tokens", "64",
+        "--output-tokens", "8",
+        "--rate", "4",
+    ]
+
+    @pytest.mark.parametrize("command", ["trace", "profile"])
+    @pytest.mark.parametrize("bad", ["0", "-3"])
+    def test_non_positive_count_is_a_usage_error(
+        self, command, bad, capsys, tmp_path
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                command, *self._ARGS, "--num-requests", bad,
+                "--output", str(tmp_path / "out.json"),
+            ])
+        assert excinfo.value.code == 2
+        errors = [
+            line for line in capsys.readouterr().err.splitlines()
+            if "error:" in line
+        ]
+        assert errors == [
+            f"llm-inference-bench {command}: error: argument --num-requests: "
+            f"must be >= 1, got {bad}"
+        ]
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("command", ["trace", "profile"])
+    def test_explicit_count_is_honored(self, command, capsys, tmp_path):
+        import json
+
+        path = tmp_path / "out.json"
+        code = main([
+            command, *self._ARGS, "--num-requests", "1", "--output", str(path),
+        ])
+        assert code == 0
+        payload = json.loads(path.read_text())
+        if command == "profile":
+            assert len(payload["requests"]) == 1
+        else:
+            assert payload["otherData"]["requests"] == 1
+
+    def test_default_is_four_batches(self, capsys, tmp_path):
+        import json
+
+        path = tmp_path / "profile.json"
+        assert main(["profile", *self._ARGS, "--output", str(path)]) == 0
+        assert len(json.loads(path.read_text())["requests"]) == 8
+
+
+class TestGoldenChaosProfile:
+    """A profiled, telemetry-attached chaos run (crash + retries + the
+    burn-rate autoscaler) must keep producing the committed profile and
+    telemetry JSON byte for byte, so changes to the profiler or the
+    telemetry bus cannot drift their numbers unnoticed.  The golden pins
+    the default core and its bit-identical scalar reference; the legacy
+    core's span rule legitimately rounds differently."""
+
+    @pytest.mark.parametrize("core", ["vector", "scalar"])
+    def test_profile_and_telemetry_match_golden(
+        self, core, capsys, tmp_path, monkeypatch
+    ):
+        from pathlib import Path
+
+        monkeypatch.setenv("REPRO_ENGINE_CORE", core)
+
+        data = Path(__file__).parent / "data"
+        profile = tmp_path / "profile.json"
+        telemetry = tmp_path / "telemetry.json"
+        code = main([
+            "cluster",
+            "--model", "Mistral-7B", "--hardware", "A100", "--framework", "vLLM",
+            "--replicas", "2", "--rate", "8", "--num-requests", "48",
+            "--seed", "7", "--max-concurrency", "8",
+            "--faults", str(data / "golden_chaos_faults.json"),
+            "--autoscale", "burn-rate", "--autoscale-max", "4",
+            "--profile-output", str(profile),
+            "--telemetry-output", str(telemetry),
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "retries 12" in out  # the crash displaced work
+        assert profile.read_bytes() == (
+            data / "golden_chaos_profile.json"
+        ).read_bytes()
+        assert telemetry.read_bytes() == (
+            data / "golden_chaos_telemetry.json"
+        ).read_bytes()
+
+
 class TestRunExportFlags:
     def test_metrics_and_profile_outputs_are_deterministic(
         self, capsys, tmp_path

@@ -31,6 +31,7 @@ from repro.control import (
 from repro.frameworks.base import get_framework
 from repro.hardware.zoo import get_hardware
 from repro.models.zoo import get_model
+from repro.obs.metrics import percentile
 from repro.perf.phases import Deployment
 from repro.runtime.loadgen import ServiceLevelObjective
 from repro.runtime.workload import open_loop_trace
@@ -458,6 +459,94 @@ class TestAutoscaling:
             ).run(_trace(n=40))
 
         assert run().to_json_dict() == run().to_json_dict()
+
+
+class _Recording(list):
+    """A list that also logs every insert (bisect.insort calls ``insert``
+    on list subclasses)."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def insert(self, index, item):
+        self.log.append(item)
+        super().insert(index, item)
+
+
+class _ScanCheckingSimulator(ClusterSimulator):
+    """Checks each control tick's FleetView against a full scan of every
+    completion so far, the way the view was computed before the window
+    was bounded."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.finished = []
+        self.views = []
+
+    @property
+    def _completions(self):
+        return self._kept
+
+    @_completions.setter
+    def _completions(self, value):
+        assert not value
+        self.finished = []
+        self._kept = _Recording(self.finished)
+
+    def _fleet_view(self, ts):
+        view = super()._fleet_view(ts)
+        window = self.control.metrics_window_s
+        recent = [r for r in self.finished if r.finish_time >= ts - window]
+        slo = getattr(self.control.autoscaler, "slo", None) or ServiceLevelObjective()
+        if recent:
+            attainment = sum(1 for r in recent if slo.met_by(r)) / len(recent)
+            ttft_p95 = percentile(sorted(r.ttft_s for r in recent), 95.0)
+        else:
+            attainment = ttft_p95 = float("nan")
+        for name, expected in (
+            ("slo_attainment", attainment), ("ttft_p95_s", ttft_p95)
+        ):
+            got = getattr(view, name)
+            assert got == expected or (math.isnan(got) and math.isnan(expected)), (
+                ts, name, got, expected
+            )
+        self.views.append((view, len(recent), len(self._kept)))
+        return view
+
+
+class TestBoundedControlWindow:
+    def test_fleet_view_matches_full_scan_under_crash_and_autoscale(self):
+        slo = ServiceLevelObjective(ttft_s=0.5, attainment_target=0.95)
+        control = ControlPlane(
+            faults=FaultSchedule(
+                (FaultEvent("crash", at_s=2.0, replica="replica1"),)
+            ),
+            autoscaler=SLOAutoscaler(slo=slo, max_replicas=4),
+            tick_interval_s=0.25,
+            metrics_window_s=2.0,
+        )
+        simulator = _ScanCheckingSimulator(
+            _dep(), 2, max_concurrency=4, control=control
+        )
+        result = simulator.run(_trace(n=64, rate=10.0))
+        assert result.retries > 0
+        assert any(e["action"] == "up" for e in result.scale_log)
+        views = simulator.views
+        assert len(views) > 20
+        # Windows with and without traffic, and completions dropped once
+        # they fell behind every later window.
+        assert any(count == 0 for _, count, _ in views)
+        assert any(count > 1 for _, count, _ in views)
+        assert all(count == kept for _, count, kept in views)
+        assert len(simulator._kept) < len(simulator.finished)
+
+    def test_control_ticks_must_be_monotone(self):
+        control = ControlPlane(autoscaler=QueueDepthAutoscaler(max_replicas=2))
+        simulator = ClusterSimulator(_dep(), 1, control=control)
+        simulator.run(_trace(n=4))
+        with pytest.raises(AssertionError, match="went back"):
+            simulator._fleet_view(0.0)
 
 
 # ----------------------------------------------------------------------

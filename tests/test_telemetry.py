@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.frameworks.base import get_framework
 from repro.hardware.zoo import get_hardware
@@ -166,6 +168,123 @@ class TestQuantileSketch:
         assert math.isnan(
             windowed_quantile(series, 0.95, window_s=1.0, now_s=100.0)
         )
+
+
+def _sketch_state(sketch: QuantileSketch) -> tuple:
+    return (
+        sketch._counts.tolist(), sketch.count, repr(sketch._min), repr(sketch._max)
+    )
+
+
+class TestAddMany:
+    """``add_many`` leaves exactly the state of ``add`` on each value."""
+
+    _EDGES = QuantileSketch()._edges
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False),  # below lo, above hi, +-inf, -0.0
+                st.sampled_from([float(e) for e in _EDGES]),  # on an edge
+                st.floats(min_value=1e-5, max_value=1e5),
+            ),
+            max_size=80,
+        ),
+        st.lists(st.floats(min_value=1e-3, max_value=10.0), max_size=5),
+    )
+    @example(values=[], before=[])
+    @example(values=[0.0, -0.0, 1e-4, 1e4, 2e4], before=[])
+    @example(values=[-0.0, 0.0], before=[0.5])
+    def test_matches_repeated_add(self, values, before):
+        one, many = QuantileSketch(), QuantileSketch()
+        for value in before:
+            one.add(value)
+            many.add(value)
+        for value in values:
+            one.add(value)
+        many.add_many(np.asarray(values, dtype=np.float64))
+        assert _sketch_state(many) == _sketch_state(one)
+        for q in (0.0, 0.5, 0.95, 1.0):
+            assert repr(many.quantile(q)) == repr(one.quantile(q))
+
+    def test_nan_leaves_state_untouched(self):
+        sketch = QuantileSketch()
+        sketch.add_many([0.3, 2.0])
+        before = _sketch_state(sketch)
+        with pytest.raises(ValueError, match="NaN"):
+            sketch.add_many([0.1, float("nan"), 50.0])
+        assert _sketch_state(sketch) == before
+
+
+def _copying_value_at(series: TimeSeries, ts_s: float, default: float) -> float:
+    if not len(series):
+        return default
+    idx = int(np.searchsorted(series.timestamps(), ts_s, side="right")) - 1
+    return default if idx < 0 else float(series.values()[idx])
+
+
+def _copying_window(series: TimeSeries, window_s: float, now_s: float):
+    if not len(series):
+        return np.empty(0, dtype=np.float64)
+    ts = series.timestamps()
+    lo = int(np.searchsorted(ts, now_s - window_s, side="right"))
+    hi = int(np.searchsorted(ts, now_s, side="right"))
+    return series.values()[lo:hi]
+
+
+class TestRingLookups:
+    """``value_at``/``window`` read the live ring without copying it and
+    agree with searching full oldest-first copies, wrapped or not."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.0, 0.25, 1.0, 3.5]),
+                st.floats(-1e3, 1e3, allow_nan=False),
+            ),
+            max_size=30,
+        ),
+        st.lists(
+            st.one_of(
+                st.floats(-5.0, 60.0, allow_nan=False),
+                st.just(float("nan")),
+            ),
+            min_size=1, max_size=6,
+        ),
+        st.floats(0.0, 20.0, allow_nan=False),
+    )
+    @example(capacity=4, samples=[(1.0, 1.0)] * 8, queries=[3.0, 8.0], window_s=2.0)
+    @example(capacity=4, samples=[(1.0, 1.0)] * 3, queries=[3.0, 0.5], window_s=2.0)
+    def test_matches_copying_search(self, capacity, samples, queries, window_s):
+        series = TimeSeries("s", capacity=capacity)
+        ts = 0.0
+        for step, value in samples:
+            ts += step
+            series.append(ts, value)
+        for query in queries:
+            assert repr(series.value_at(query, default=-7.0)) == repr(
+                _copying_value_at(series, query, -7.0)
+            )
+            got = series.window(window_s, query)
+            expected = _copying_window(series, window_s, query)
+            assert got.tolist() == expected.tolist()
+            assert repr(series.delta(window_s, query)) == repr(
+                _copying_value_at(series, query, 0.0)
+                - _copying_value_at(series, query - window_s, 0.0)
+                if len(series) else float("nan")
+            )
+
+    def test_window_is_a_copy(self):
+        series = TimeSeries("s", capacity=4)
+        for ts in (1.0, 2.0, 3.0):
+            series.append(ts, ts * 10.0)
+        window = series.window(10.0, 3.0)
+        for ts in (4.0, 5.0, 6.0):
+            series.append(ts, -1.0)
+        assert window.tolist() == [10.0, 20.0, 30.0]
 
 
 class TestAlert:
