@@ -81,6 +81,19 @@ def _ratio(numerator: float, denominator: float) -> float:
     return numerator / denominator if denominator > 0.0 else 0.0
 
 
+def _ordered_sum(values):  # noqa: ANN001, ANN202 - numbers in, same out
+    """``sum(values)`` as plain left-to-right additions.
+
+    The builtin compensates float sums on Python 3.12+, so its last bits
+    would depend on the interpreter; profile JSON must not.  Starting
+    from the int 0 keeps the builtin's result type (all-int fields from
+    parsed JSON stay ints)."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def _unfinite(value: object) -> float:
     """Inverse of :func:`_finite`: ``None`` back to NaN.
 
@@ -249,11 +262,11 @@ class ProfileReport:
 
     @property
     def flops(self) -> float:
-        return sum(p.flops for p in self.phases)
+        return _ordered_sum(p.flops for p in self.phases)
 
     @property
     def bytes_moved(self) -> float:
-        return sum(p.bytes_moved for p in self.phases)
+        return _ordered_sum(p.bytes_moved for p in self.phases)
 
     @property
     def tokens(self) -> int:
@@ -660,12 +673,9 @@ class StepProfiler(NullProfiler):
         for request in requests:
             rows.setdefault(id(request), len(rows))
         if len(rows) > len(self._table):
-            # In place (zero-filled): the table is private and no view of
-            # it outlives a statement, so the reference check is moot.
-            self._table.resize(
-                (max(2 * len(self._table), len(rows)), _ROW_WIDTH),
-                refcheck=False,
-            )
+            grown = np.zeros((max(2 * len(self._table), len(rows)), _ROW_WIDTH))
+            grown[: len(self._table)] = self._table
+            self._table = grown
         return [rows[id(request)] for request in requests]
 
     # ------------------------------------------------------------------
@@ -733,8 +743,8 @@ class StepProfiler(NullProfiler):
                     components=CostComponents(*parts),
                 )
             )
-        busy_s = sum(p.time_s for p in phases)
-        energy_j = sum(p.energy_j for p in phases) + self.idle_energy_j
+        busy_s = _ordered_sum(p.time_s for p in phases)
+        energy_j = _ordered_sum(p.energy_j for p in phases) + self.idle_energy_j
         return ProfileReport(
             name=name,
             model=dep.model.name,
@@ -811,14 +821,14 @@ def merge_profiles(
         framework=label(p.framework for p in profiles),
         num_devices=sum(p.num_devices for p in profiles),
         total_time_s=max(p.total_time_s for p in profiles),
-        busy_s=sum(p.busy_s for p in profiles),
-        idle_s=sum(p.idle_s for p in profiles),
-        energy_j=sum(p.energy_j for p in profiles),
-        idle_energy_j=sum(p.idle_energy_j for p in profiles),
-        peak_flops_per_s=sum(p.peak_flops_per_s for p in profiles),
-        peak_bandwidth_bytes_s=sum(p.peak_bandwidth_bytes_s for p in profiles),
-        flop_capacity=sum(p.flop_capacity for p in profiles),
-        byte_capacity=sum(p.byte_capacity for p in profiles),
+        busy_s=_ordered_sum(p.busy_s for p in profiles),
+        idle_s=_ordered_sum(p.idle_s for p in profiles),
+        energy_j=_ordered_sum(p.energy_j for p in profiles),
+        idle_energy_j=_ordered_sum(p.idle_energy_j for p in profiles),
+        peak_flops_per_s=_ordered_sum(p.peak_flops_per_s for p in profiles),
+        peak_bandwidth_bytes_s=_ordered_sum(p.peak_bandwidth_bytes_s for p in profiles),
+        flop_capacity=_ordered_sum(p.flop_capacity for p in profiles),
+        byte_capacity=_ordered_sum(p.byte_capacity for p in profiles),
         phases=phases,
         requests=requests,
     )

@@ -329,6 +329,25 @@ class TestMergeAndDeterminism:
         )
         assert merged.model == single.model  # deduplicated label
 
+    def test_merge_adds_left_to_right_on_every_python(self):
+        # Python 3.12+ compensates float sum(); merged fields must keep
+        # the plain left-to-right bits so fleet profile JSON does not
+        # depend on the interpreter.
+        import dataclasses
+
+        dep = _deployment("LLaMA-3-8B", "A100", "vLLM")
+        single = _profiled_run(
+            dep, fixed_batch_trace(4, 256, 64), max_concurrency=4
+        ).profile
+        parts = [
+            dataclasses.replace(single, busy_s=value, energy_j=value, idle_s=0)
+            for value in (1e16, 1.0, 1.0)
+        ]
+        merged = merge_profiles(parts)
+        assert merged.busy_s == (1e16 + 1.0) + 1.0 == 1e16
+        assert merged.energy_j == 1e16
+        assert type(merged.idle_s) is int  # all-int fields stay ints
+
     def test_cluster_profile_merges_replicas(self):
         dep = _deployment("LLaMA-3-8B", "A100", "vLLM")
         simulator = ClusterSimulator(dep, 2, max_concurrency=8, profiled=True)
