@@ -24,12 +24,11 @@ trajectory across PRs:
 * **scenario_trace** — building a :mod:`repro.scenarios` request trace
   (arrivals, multi-turn sessions, length sampling), cold vs warm, so
   trace-generation cost is tracked alongside the simulator hot paths;
-* **engine_vectorized** — the same engine run through the ``legacy``
-  (pre-vectorization, single-step-while-waiting) core vs the ``vector``
-  core (struct-of-arrays commits + event-horizon decode spans), with a
-  scalar-core bit-identity check first;
-* **cluster_vectorized** — a multi-replica run, ``legacy`` vs ``vector``
-  core (batched replica selection + coalesced spans), same checks;
+* **engine_vectorized** — the same engine run through the ``scalar``
+  reference core (per-token object loops) vs the ``vector`` core
+  (struct-of-arrays commits), with a bit-identity check first;
+* **cluster_vectorized** — a multi-replica run, ``scalar`` vs ``vector``
+  core (batched replica selection + array commits), same check;
 * **optimize_screening** — the deployment optimizer's analytic screening
   pass (:func:`repro.analysis.optimize.screen`, one vectorized kernel
   grid per deployment) vs a scalar per-config estimator loop timed on a
@@ -340,23 +339,39 @@ def _bench_telemetry_overhead(
     }
 
 
+def _time_cores(
+    run_with: Callable[[str], object],
+    outcome: Callable[[object], object],
+    repeats: int,
+) -> tuple[object, dict[str, float]]:
+    """``core="scalar"`` (before) vs ``core="vector"`` (after).
+
+    Both cores share the event-horizon span rule, so their runs must be
+    bit-identical on ``outcome`` before either is timed.  Returns the
+    vector run's result and the timing fields.
+    """
+    scalar_result = run_with("scalar")
+    vector_result = run_with("vector")
+    if outcome(scalar_result) != outcome(vector_result):
+        raise AssertionError("vector core is not bit-identical to scalar core")
+    before = _best_of(lambda: run_with("scalar"), repeats)
+    after = _best_of(lambda: run_with("vector"), repeats)
+    return vector_result, {
+        "before_s": before,
+        "after_s": after,
+        "speedup": before / after,
+    }
+
+
 def _bench_engine_vectorized(
     dep: Deployment, kernel: StepCostKernel, reduced: bool, repeats: int
 ) -> dict[str, float]:
-    """Vectorized event core vs the pre-vectorization engine loop.
-
-    ``before_s`` runs ``core="legacy"`` (per-token object loops, spans
-    collapse to single steps whenever anything waits), ``after_s`` runs
-    ``core="vector"`` (struct-of-arrays commits, spans extend to the next
-    arrival/completion event).  The scalar core must be bit-identical to
-    the vector core first (the equivalence contract); legacy only has to
-    agree on physics to span-boundary rounding.
+    """Vectorized event core (struct-of-arrays commits) vs its scalar
+    reference (per-token loops over request objects).
 
     The workload is a saturation regime — arrivals outpace service so a
-    queue persists through most of the run.  That is where the two cores
-    diverge most (legacy single-steps whenever anything waits, the vector
-    core's spans are bounded only by genuine future events) and it is the
-    regime fleet-scale sweeps live in.
+    queue persists through most of the run, the regime fleet-scale
+    sweeps live in.
     """
     num_requests = 32 if reduced else 64
     trace_args = (num_requests, 16.0, 128, 768)
@@ -367,32 +382,16 @@ def _bench_engine_vectorized(
         )
         return engine.run(open_loop_trace(*trace_args, seed=7))
 
-    scalar_result = run_with("scalar")
-    vector_result = run_with("vector")
-    if scalar_result.total_time_s != vector_result.total_time_s:
-        raise AssertionError("vector core is not bit-identical to scalar core")
-    if scalar_result.iterations != vector_result.iterations:
-        raise AssertionError("vector core iteration count diverged from scalar")
-    legacy_result = run_with("legacy")
-    gap = abs(legacy_result.total_time_s - vector_result.total_time_s)
-    if gap > 1e-3 * legacy_result.total_time_s:
-        raise AssertionError("vector core physics diverged from legacy core")
-
-    before = _best_of(lambda: run_with("legacy"), repeats)
-    after = _best_of(lambda: run_with("vector"), repeats)
-    return {
-        "legacy_iterations": float(legacy_result.iterations),
-        "vector_iterations": float(vector_result.iterations),
-        "before_s": before,
-        "after_s": after,
-        "speedup": before / after,
-    }
+    vector_result, timings = _time_cores(
+        run_with, lambda r: (r.total_time_s, r.iterations), repeats
+    )
+    return {"vector_iterations": float(vector_result.iterations), **timings}
 
 
 def _bench_cluster_vectorized(
     dep: Deployment, kernel: StepCostKernel, reduced: bool, repeats: int
 ) -> dict[str, float]:
-    """Batched cluster stepping (``core="vector"``) vs the legacy loop.
+    """Batched cluster stepping (``core="vector"``) vs the scalar loop.
 
     Same saturation regime as ``engine_vectorized``, spread across a
     fleet so replica selection and horizon computation are exercised too.
@@ -408,25 +407,11 @@ def _bench_cluster_vectorized(
         trace = open_loop_trace(num_requests, rate, 128, 768, seed=11)
         return simulator.run(trace)
 
-    scalar_result = run_with("scalar")
-    vector_result = run_with("vector")
-    if scalar_result.makespan_s != vector_result.makespan_s:
-        raise AssertionError(
-            "vector cluster core is not bit-identical to scalar core"
-        )
-    legacy_result = run_with("legacy")
-    gap = abs(legacy_result.makespan_s - vector_result.makespan_s)
-    if gap > 1e-3 * legacy_result.makespan_s:
-        raise AssertionError("vector cluster physics diverged from legacy core")
-
-    before = _best_of(lambda: run_with("legacy"), repeats)
-    after = _best_of(lambda: run_with("vector"), repeats)
+    _, timings = _time_cores(run_with, lambda r: r.makespan_s, repeats)
     return {
         "replicas": float(num_replicas),
         "requests": float(num_requests),
-        "before_s": before,
-        "after_s": after,
-        "speedup": before / after,
+        **timings,
     }
 
 
@@ -609,10 +594,10 @@ def check_regression(
       not trip CI, while an accidental return to un-memoized evaluation
       (a >5x cliff) always does;
     * the vectorized-core speedup ratios (``engine_vectorized`` and
-      ``cluster_vectorized``, legacy core vs vector core on the same
+      ``cluster_vectorized``, scalar core vs vector core on the same
       machine) must stay above the baseline's ``min_speedup`` floors.
       Ratios of two same-process timings are machine-independent, so
-      these floors are tight (10x / 5x, the ISSUE 8 acceptance bar);
+      these floors are tight;
     * the instrumentation overheads — ``profiler_overhead`` (profiled vs
       unprofiled run) and ``telemetry_overhead`` (hub attached vs
       ``NULL_TELEMETRY``) — must each stay below its baseline
@@ -639,7 +624,7 @@ def check_regression(
         if speedup < min_speedup:
             failures.append(
                 f"{name} speedup regressed: {speedup:.1f}x < "
-                f"required {min_speedup:g}x (legacy vs vector core)"
+                f"required {min_speedup:g}x (scalar vs vector core)"
             )
     for name, channel, versus in (
         ("profiler_overhead", "profiler", "profiled vs unprofiled"),

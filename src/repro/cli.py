@@ -62,9 +62,10 @@ from repro.bench import (
     run_experiment,
 )
 from repro.core.request import GenerationConfig
-from repro.frameworks.base import list_frameworks
-from repro.hardware.zoo import list_hardware
-from repro.models.zoo import list_models
+from repro.frameworks.base import get_framework, list_frameworks
+from repro.hardware.zoo import get_hardware, list_hardware
+from repro.models.zoo import get_model, list_models
+from repro.runtime.memory_manager import OutOfMemoryError
 
 __all__ = ["main", "build_parser"]
 
@@ -75,6 +76,56 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _registry_name(lookup):
+    """argparse type for a name ``lookup`` must resolve; an unknown name
+    becomes a one-line usage error listing the known names."""
+
+    def check(text: str) -> str:
+        try:
+            lookup(text)
+        except KeyError as exc:
+            raise argparse.ArgumentTypeError(exc.args[0]) from None
+        return text
+
+    return check
+
+
+def _add_deployment_args(
+    parser: argparse.ArgumentParser,
+    defaults: tuple[str | None, str | None, str | None] = (None, None, None),
+) -> None:
+    """``--model/--hardware/--framework``, each checked against its zoo;
+    a ``None`` default makes the flag required."""
+    for flag, lookup, default in zip(
+        ("--model", "--hardware", "--framework"),
+        (get_model, get_hardware, get_framework),
+        defaults,
+    ):
+        parser.add_argument(
+            flag, type=_registry_name(lookup), default=default,
+            required=default is None,
+        )
+
+
+def _add_engine_workload_args(parser: argparse.ArgumentParser) -> None:
+    """The single-engine workload flags ``trace`` and ``profile`` share."""
+    parser.add_argument("--batch-size", type=int, default=8)
+    parser.add_argument("--input-tokens", type=int, default=1024)
+    parser.add_argument("--output-tokens", type=int, default=1024)
+    parser.add_argument(
+        "--rate", type=float, default=None,
+        help="Poisson arrival rate (req/s); omit for the paper's fixed batch",
+    )
+    parser.add_argument(
+        "--num-requests", type=_positive_int, default=None,
+        help="request count for --rate workloads (default 4x batch size)",
+    )
+    parser.add_argument("--seed", type=int, default=0,
+                        help="RNG seed for --rate arrival draws")
+    parser.add_argument("--optimistic", action="store_true",
+                        help="vLLM optimistic admission (preempt+recompute)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,9 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     point_p = sub.add_parser("point", help="run a single benchmark point")
-    point_p.add_argument("--model", required=True)
-    point_p.add_argument("--hardware", required=True)
-    point_p.add_argument("--framework", required=True)
+    _add_deployment_args(point_p)
     point_p.add_argument("--batch-size", type=int, default=1)
     point_p.add_argument("--input-tokens", type=int, default=1024)
     point_p.add_argument("--output-tokens", type=int, default=1024)
@@ -122,9 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze_p = sub.add_parser(
         "analyze", help="bottleneck attribution for one configuration"
     )
-    analyze_p.add_argument("--model", required=True)
-    analyze_p.add_argument("--hardware", required=True)
-    analyze_p.add_argument("--framework", required=True)
+    _add_deployment_args(analyze_p)
     analyze_p.add_argument("--batch-size", type=int, default=16)
     analyze_p.add_argument("--input-tokens", type=int, default=1024)
     analyze_p.add_argument("--output-tokens", type=int, default=1024)
@@ -150,28 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p = sub.add_parser(
         "trace", help="run a workload with tracing; write Chrome trace JSON"
     )
-    trace_p.add_argument("--model", required=True)
-    trace_p.add_argument("--hardware", required=True)
-    trace_p.add_argument("--framework", required=True)
-    trace_p.add_argument("--batch-size", type=int, default=8)
-    trace_p.add_argument("--input-tokens", type=int, default=1024)
-    trace_p.add_argument("--output-tokens", type=int, default=1024)
-    trace_p.add_argument(
-        "--rate",
-        type=float,
-        default=None,
-        help="Poisson arrival rate (req/s); omit for the paper's fixed batch",
-    )
-    trace_p.add_argument(
-        "--num-requests",
-        type=_positive_int,
-        default=None,
-        help="request count for --rate workloads (default 4x batch size)",
-    )
-    trace_p.add_argument("--seed", type=int, default=0,
-                         help="RNG seed for --rate arrival draws")
-    trace_p.add_argument("--optimistic", action="store_true",
-                         help="vLLM optimistic admission (preempt+recompute)")
+    _add_deployment_args(trace_p)
+    _add_engine_workload_args(trace_p)
     trace_p.add_argument("--output", default="trace.json",
                          help="Chrome trace_event JSON path (Perfetto-loadable)")
     trace_p.add_argument("--summary-output", default=None,
@@ -183,28 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="run a workload with cost-attribution profiling; write profile JSON",
     )
-    profile_p.add_argument("--model", required=True)
-    profile_p.add_argument("--hardware", required=True)
-    profile_p.add_argument("--framework", required=True)
-    profile_p.add_argument("--batch-size", type=int, default=8)
-    profile_p.add_argument("--input-tokens", type=int, default=1024)
-    profile_p.add_argument("--output-tokens", type=int, default=1024)
-    profile_p.add_argument(
-        "--rate",
-        type=float,
-        default=None,
-        help="Poisson arrival rate (req/s); omit for the paper's fixed batch",
-    )
-    profile_p.add_argument(
-        "--num-requests",
-        type=_positive_int,
-        default=None,
-        help="request count for --rate workloads (default 4x batch size)",
-    )
-    profile_p.add_argument("--seed", type=int, default=0,
-                           help="RNG seed for --rate arrival draws")
-    profile_p.add_argument("--optimistic", action="store_true",
-                           help="vLLM optimistic admission (preempt+recompute)")
+    _add_deployment_args(profile_p)
+    _add_engine_workload_args(profile_p)
     profile_p.add_argument("--output", default="profile.json",
                            help="deterministic profile JSON path")
     profile_p.add_argument(
@@ -219,18 +226,16 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_p = sub.add_parser(
         "cluster", help="simulate a multi-replica serving cluster"
     )
-    cluster_p.add_argument("--model", required=True)
-    cluster_p.add_argument("--hardware", required=True)
-    cluster_p.add_argument("--framework", required=True)
-    cluster_p.add_argument("--replicas", type=int, default=4)
+    _add_deployment_args(cluster_p)
+    cluster_p.add_argument("--replicas", type=_positive_int, default=4)
     cluster_p.add_argument("--router", default="least-outstanding",
                            choices=list_routers())
     cluster_p.add_argument("--rate", type=float, default=8.0,
                            help="offered Poisson arrival rate (req/s)")
-    cluster_p.add_argument("--num-requests", type=int, default=64)
+    cluster_p.add_argument("--num-requests", type=_positive_int, default=64)
     cluster_p.add_argument("--mean-input-tokens", type=int, default=512)
     cluster_p.add_argument("--mean-output-tokens", type=int, default=256)
-    cluster_p.add_argument("--max-concurrency", type=int, default=32)
+    cluster_p.add_argument("--max-concurrency", type=_positive_int, default=32)
     cluster_p.add_argument("--seed", type=int, default=0,
                            help="RNG seed for arrivals, lengths and routing")
     cluster_p.add_argument(
@@ -311,17 +316,15 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run a scenario trace through a serving cluster"
     )
     scen_run.add_argument("name", help="scenario name (see `scenario list`)")
-    scen_run.add_argument("--model", default="LLaMA-3-8B")
-    scen_run.add_argument("--hardware", default="A100")
-    scen_run.add_argument("--framework", default="vLLM")
-    scen_run.add_argument("--replicas", type=int, default=4)
+    _add_deployment_args(scen_run, ("LLaMA-3-8B", "A100", "vLLM"))
+    scen_run.add_argument("--replicas", type=_positive_int, default=4)
     scen_run.add_argument("--router", default="session-affinity",
                           choices=list_routers())
     scen_run.add_argument("--seed", type=int, default=0,
                           help="RNG seed for the trace and routing")
     scen_run.add_argument("--sessions", type=int, default=None, metavar="N",
                           help="override the scenario's session count")
-    scen_run.add_argument("--max-concurrency", type=int, default=32)
+    scen_run.add_argument("--max-concurrency", type=_positive_int, default=32)
     scen_run.add_argument("--prefix-cache-slots", type=int, default=8,
                           help="per-replica prefix/session KV LRU slots")
     scen_run.add_argument(
@@ -443,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_list() -> int:
+def _cmd_list(args: argparse.Namespace) -> int:
     print("Models:")
     for name in list_models():
         print(f"  {name}")
@@ -637,49 +640,51 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
+def _engine_workload(args: argparse.Namespace) -> list:
+    """``trace``/``profile`` request list: Poisson arrivals with
+    ``--rate``, else the paper's fixed batch."""
+    from repro.runtime.workload import fixed_batch_trace, poisson_trace
+
+    if args.rate is None:
+        return fixed_batch_trace(
+            args.batch_size, args.input_tokens, args.output_tokens
+        )
+    num = 4 * args.batch_size if args.num_requests is None else args.num_requests
+    return poisson_trace(
+        num, args.rate, args.input_tokens, args.output_tokens, seed=args.seed
+    )
+
+
+def _trace_metadata(dep, workload: list, result) -> dict:
+    """Chrome-trace ``otherData`` for a single-engine run."""
+    return {
+        "model": dep.model.name,
+        "hardware": dep.hardware.name,
+        "devices": dep.num_devices,
+        "framework": dep.framework.name,
+        "requests": len(workload),
+        "makespan_s": result.total_time_s,
+    }
+
+
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import EventTracer, timeline_table, trace_summary, write_chrome_trace
-    from repro.runtime.memory_manager import OutOfMemoryError
-    from repro.runtime.workload import fixed_batch_trace, poisson_trace
 
     runner = BenchmarkRunner(use_engine=True)
     dep = runner.deployment(args.model, args.hardware, args.framework)
-    if args.rate is not None:
-        num = (
-            4 * args.batch_size if args.num_requests is None else args.num_requests
-        )
-        workload = poisson_trace(
-            num, args.rate, args.input_tokens, args.output_tokens, seed=args.seed
-        )
-    else:
-        workload = fixed_batch_trace(
-            args.batch_size, args.input_tokens, args.output_tokens
-        )
+    workload = _engine_workload(args)
 
     tracer = EventTracer()
-    try:
-        result = runner.run_traced(
-            dep,
-            workload,
-            tracer,
-            max_concurrency=args.batch_size,
-            optimistic=args.optimistic,
-        )
-    except OutOfMemoryError as exc:
-        print(f"OOM: {exc}")
-        return 1
+    result = runner.run_traced(
+        dep,
+        workload,
+        tracer,
+        max_concurrency=args.batch_size,
+        optimistic=args.optimistic,
+    )
 
     path = write_chrome_trace(
-        args.output,
-        tracer.events,
-        metadata={
-            "model": dep.model.name,
-            "hardware": dep.hardware.name,
-            "devices": dep.num_devices,
-            "framework": dep.framework.name,
-            "requests": len(workload),
-            "makespan_s": result.total_time_s,
-        },
+        args.output, tracer.events, _trace_metadata(dep, workload, result)
     )
     summary = trace_summary(tracer.events, result.metrics)
     header = (
@@ -703,35 +708,19 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs import EventTracer, write_chrome_trace
-    from repro.runtime.memory_manager import OutOfMemoryError
-    from repro.runtime.workload import fixed_batch_trace, poisson_trace
 
     runner = BenchmarkRunner(use_engine=True)
     dep = runner.deployment(args.model, args.hardware, args.framework)
-    if args.rate is not None:
-        num = (
-            4 * args.batch_size if args.num_requests is None else args.num_requests
-        )
-        workload = poisson_trace(
-            num, args.rate, args.input_tokens, args.output_tokens, seed=args.seed
-        )
-    else:
-        workload = fixed_batch_trace(
-            args.batch_size, args.input_tokens, args.output_tokens
-        )
+    workload = _engine_workload(args)
 
     tracer = EventTracer() if args.trace_output else None
-    try:
-        result = runner.run_profiled(
-            dep,
-            workload,
-            max_concurrency=args.batch_size,
-            optimistic=args.optimistic,
-            tracer=tracer,
-        )
-    except OutOfMemoryError as exc:
-        print(f"OOM: {exc}")
-        return 1
+    result = runner.run_profiled(
+        dep,
+        workload,
+        max_concurrency=args.batch_size,
+        optimistic=args.optimistic,
+        tracer=tracer,
+    )
 
     profile = result.profile
     assert profile is not None  # run_profiled always enables the profiler
@@ -744,16 +733,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     _write_json(args.output, profile.to_json_dict())
     if args.trace_output and tracer is not None:
         path = write_chrome_trace(
-            args.trace_output,
-            tracer.events,
-            metadata={
-                "model": dep.model.name,
-                "hardware": dep.hardware.name,
-                "devices": dep.num_devices,
-                "framework": dep.framework.name,
-                "requests": len(workload),
-                "makespan_s": result.total_time_s,
-            },
+            args.trace_output, tracer.events,
+            _trace_metadata(dep, workload, result),
         )
         print(f"wrote {path} ({len(tracer.events)} events) — counter tracks "
               "under the 'profile' lane in https://ui.perfetto.dev")
@@ -769,7 +750,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     )
     from repro.obs.export import to_chrome_trace_multi
     from repro.runtime.loadgen import ServiceLevelObjective
-    from repro.runtime.memory_manager import OutOfMemoryError
     from repro.runtime.workload import open_loop_trace, shared_prefix_trace
 
     runner = BenchmarkRunner(use_engine=True)
@@ -848,11 +828,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         profiled=args.profile_output is not None,
         telemetry=telemetry,
     )
-    try:
-        result = simulator.run(workload)
-    except OutOfMemoryError as exc:
-        print(f"OOM: {exc}")
-        return 1
+    result = simulator.run(workload)
     print(
         f"{dep.model.name} / {dep.hardware.name} x{dep.num_devices} / "
         f"{dep.framework.name}"
@@ -860,12 +836,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     print(result.render())
     print(result.load_report(args.rate, slo=slo).render())
     if args.result_output:
-        import json as _json
-
-        with open(args.result_output, "w", encoding="utf-8") as fh:
-            _json.dump(result.to_json_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.result_output}")
+        _write_json(args.result_output, result.to_json_dict())
     if args.metrics_output:
         _write_json(args.metrics_output, result.metrics.to_json_dict())
     if args.profile_output:
@@ -937,7 +908,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         return 0
 
     from repro.cluster import ClusterSimulator, get_router
-    from repro.runtime.memory_manager import OutOfMemoryError
 
     if args.sessions is not None:
         scenario = scenario.with_sessions(args.sessions)
@@ -957,11 +927,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         prefix_cache_slots=args.prefix_cache_slots,
         telemetry=telemetry,
     )
-    try:
-        result = simulator.run(trace)
-    except OutOfMemoryError as exc:
-        print(f"OOM: {exc}")
-        return 1
+    result = simulator.run(trace)
     span = trace[-1].arrival_time - trace[0].arrival_time
     offered = len(trace) / span if span > 0 else float(len(trace))
     print(
@@ -1154,39 +1120,32 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled experiment verb {args.verb!r}")
 
 
+_COMMANDS = {
+    "list": _cmd_list,
+    "run": _cmd_run,
+    "point": _cmd_point,
+    "analyze": _cmd_analyze,
+    "report": _cmd_report,
+    "dashboard": _cmd_dashboard,
+    "export": _cmd_export,
+    "validate": _cmd_validate,
+    "trace": _cmd_trace,
+    "profile": _cmd_profile,
+    "cluster": _cmd_cluster,
+    "scenario": _cmd_scenario,
+    "optimize": _cmd_optimize,
+    "bench": _cmd_bench,
+    "experiment": _cmd_experiment,
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "point":
-        return _cmd_point(args)
-    if args.command == "analyze":
-        return _cmd_analyze(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    if args.command == "dashboard":
-        return _cmd_dashboard(args)
-    if args.command == "export":
-        return _cmd_export(args)
-    if args.command == "validate":
-        return _cmd_validate(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "cluster":
-        return _cmd_cluster(args)
-    if args.command == "scenario":
-        return _cmd_scenario(args)
-    if args.command == "optimize":
-        return _cmd_optimize(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command == "experiment":
-        return _cmd_experiment(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    try:
+        return _COMMANDS[args.command](args)
+    except OutOfMemoryError as exc:
+        print(f"OOM: {exc}")
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

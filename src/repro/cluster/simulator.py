@@ -514,15 +514,11 @@ class ClusterSimulator:
         """More work may still arrive *before* the step horizon: hold
         single-step boundaries.
 
-        On the event-horizon cores ("vector"/"scalar") heap events are
-        already covered by the horizon each step receives, so only work
-        that can be injected mid-loop — a live prefill replica whose next
-        retirement spawns a KV handoff — forces single-stepping.  The
-        "legacy" core keeps the historical rule (any undispatched event
-        holds every replica to single steps).
+        Heap events are already covered by the horizon each step
+        receives, so only work that can be injected mid-loop — a live
+        prefill replica whose next retirement spawns a KV handoff —
+        forces single-stepping.
         """
-        if self.core == "legacy" and self._events:
-            return True
         return any(r.alive and r.has_work for r in self._prefill_fleet)
 
     def _sync_replica(self, replica: Replica) -> None:

@@ -26,6 +26,7 @@ chaos run, retry timing included — is bit-reproducible.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -58,6 +59,10 @@ class FaultEvent:
             raise ValueError(
                 f"unknown fault kind {self.kind!r} (known: {', '.join(FAULT_KINDS)})"
             )
+        for name in ("at_s", "duration_s", "factor"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.at_s < 0.0:
             raise ValueError(f"at_s must be >= 0, got {self.at_s}")
         if self.kind in ("slowdown", "kv_loss") and self.duration_s <= 0.0:
@@ -139,22 +144,29 @@ class FaultSchedule:
         """Draw a random schedule over ``[0.1, 0.9] * horizon_s`` (seeded).
 
         Crash victims are drawn without replacement (a replica dies at
-        most once); slowdown and kv-loss windows default to a tenth of
-        the horizon.  The same seed and fleet always produce the same
-        schedule, so chaos runs diff clean.
+        most once); slowdown and kv-loss windows default (when ``None``)
+        to a tenth of the horizon.  The same seed and fleet always produce
+        the same schedule, so chaos runs diff clean.
         """
         if not replicas:
             raise ValueError("cannot generate faults for an empty fleet")
-        if horizon_s <= 0:
-            raise ValueError(f"horizon_s must be positive, got {horizon_s}")
+        for name, value in (
+            ("horizon_s", horizon_s),
+            ("slowdown_duration_s", slowdown_duration_s),
+            ("kv_loss_duration_s", kv_loss_duration_s),
+        ):
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if num_crashes > len(replicas):
             raise ValueError(
                 f"cannot crash {num_crashes} of {len(replicas)} replicas"
             )
         rng = np.random.default_rng(seed)
         lo, hi = 0.1 * horizon_s, 0.9 * horizon_s
-        window = slowdown_duration_s or 0.1 * horizon_s
-        kv_window = kv_loss_duration_s or 0.1 * horizon_s
+        if slowdown_duration_s is None:
+            slowdown_duration_s = 0.1 * horizon_s
+        if kv_loss_duration_s is None:
+            kv_loss_duration_s = 0.1 * horizon_s
         events: list[FaultEvent] = []
         victims = rng.choice(len(replicas), size=num_crashes, replace=False)
         for victim in victims:
@@ -171,7 +183,7 @@ class FaultSchedule:
                     "slowdown",
                     at_s=float(rng.uniform(lo, hi)),
                     replica=replicas[int(rng.integers(len(replicas)))],
-                    duration_s=window,
+                    duration_s=slowdown_duration_s,
                     factor=slowdown_factor,
                 )
             )
@@ -180,7 +192,7 @@ class FaultSchedule:
                 FaultEvent(
                     "kv_loss",
                     at_s=float(rng.uniform(lo, hi)),
-                    duration_s=kv_window,
+                    duration_s=kv_loss_duration_s,
                 )
             )
         return cls(tuple(events))

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.obs.metrics import _from_json_num, _json_num
+from repro.core.jsonnum import from_json_num, json_num
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.loadgen import ServiceLevelObjective
@@ -204,15 +204,15 @@ class TimeSeries:
     def to_json_dict(self) -> dict:
         return {
             "unit": self.unit,
-            "ts_s": [_json_num(float(t)) for t in self.timestamps()],
-            "values": [_json_num(float(v)) for v in self.values()],
+            "ts_s": [json_num(float(t)) for t in self.timestamps()],
+            "values": [json_num(float(v)) for v in self.values()],
         }
 
     @classmethod
     def from_json_dict(cls, name: str, payload: dict) -> "TimeSeries":
-        ts = [_from_json_num(t) for t in payload["ts_s"]]
+        ts = [from_json_num(t) for t in payload["ts_s"]]
         series = cls(name, unit=payload["unit"], capacity=max(len(ts), 1))
-        for t, v in zip(ts, (_from_json_num(v) for v in payload["values"])):
+        for t, v in zip(ts, (from_json_num(v) for v in payload["values"])):
             series.append(t, v)
         return series
 
@@ -336,10 +336,10 @@ class Alert:
             "name": self.name,
             "severity": self.severity,
             "state": self.state,
-            "ts_s": _json_num(self.ts_s),
-            "window_s": _json_num(self.window_s),
-            "value": _json_num(self.value),
-            "threshold": _json_num(self.threshold),
+            "ts_s": json_num(self.ts_s),
+            "window_s": json_num(self.window_s),
+            "value": json_num(self.value),
+            "threshold": json_num(self.threshold),
         }
 
     @classmethod
@@ -348,10 +348,10 @@ class Alert:
             name=payload["name"],
             severity=payload["severity"],
             state=payload["state"],
-            ts_s=_from_json_num(payload["ts_s"]),
-            window_s=_from_json_num(payload["window_s"]),
-            value=_from_json_num(payload["value"]),
-            threshold=_from_json_num(payload["threshold"]),
+            ts_s=from_json_num(payload["ts_s"]),
+            window_s=from_json_num(payload["window_s"]),
+            value=from_json_num(payload["value"]),
+            threshold=from_json_num(payload["threshold"]),
         )
 
 
@@ -686,12 +686,12 @@ class TelemetryHub:
     def snapshot(self) -> TelemetrySnapshot:
         return TelemetrySnapshot(
             config={
-                "attainment_target": _json_num(self.budget.attainment_target),
-                "fast_window_s": _json_num(self.budget.fast_window_s),
-                "slow_window_s": _json_num(self.budget.slow_window_s),
-                "page_threshold": _json_num(self.budget.rules[0][2]),
-                "ticket_threshold": _json_num(self.budget.rules[1][2]),
-                "tick_interval_s": _json_num(self.tick_interval_s),
+                "attainment_target": json_num(self.budget.attainment_target),
+                "fast_window_s": json_num(self.budget.fast_window_s),
+                "slow_window_s": json_num(self.budget.slow_window_s),
+                "page_threshold": json_num(self.budget.rules[0][2]),
+                "ticket_threshold": json_num(self.budget.rules[1][2]),
+                "tick_interval_s": json_num(self.tick_interval_s),
             },
             series={
                 name: series.to_json_dict()

@@ -24,18 +24,17 @@ Execution cores (``ServingEngine(core=...)``):
 * ``"scalar"`` — the reference implementation: per-token Python loops
   over request objects.  Bit-identical to ``"vector"`` (same results,
   metrics, traces, profiles — enforced by ``tests/test_vector_core.py``);
-  it exists to keep the vectorized core honest.
-* ``"legacy"`` — the scalar loops with the pre-vectorization span rule
-  (coalesce only when the waiting queue is empty), kept as the measured
-  "before" of the ``engine_vectorized`` benchmark entries.
+  it exists to keep the vectorized core honest, and it is the timed
+  "before" of the ``engine_vectorized``/``cluster_vectorized`` bench
+  entries.
 
 Iteration coalescing: a decode span advances every running sequence in
 lockstep, evaluating the step cost at the span's mean context — exact for
-the affine-in-context step model.  The ``vector``/``scalar`` cores bound
-each span by the *next scheduling event* (the caller's horizon, the next
-future arrival, a completion) so saturated runs cost O(events) instead of
-O(tokens); an arrived-but-blocked queue head cannot shorten a span, since
-only a retirement (which ends the span anyway) can unblock admission.
+the affine-in-context step model.  Both cores bound each span by the
+*next scheduling event* (the caller's horizon, the next future arrival,
+a completion) so saturated runs cost O(events) instead of O(tokens); an
+arrived-but-blocked queue head cannot shorten a span, since only a
+retirement (which ends the span anyway) can unblock admission.
 The environment variable ``REPRO_ENGINE_CORE`` overrides the default
 core for engines (and cluster replicas) constructed without an explicit
 ``core=`` — CI uses it to run the whole test suite under both paths.
@@ -80,7 +79,7 @@ __all__ = ["EngineResult", "EngineRun", "ServingEngine", "resolve_core"]
 
 _MAX_ITERATIONS = 10_000_000
 
-_VALID_CORES = ("vector", "scalar", "legacy")
+_VALID_CORES = ("vector", "scalar")
 
 
 def resolve_core(core: str | None) -> str:
@@ -202,8 +201,8 @@ class ServingEngine:
         pool runs dry mid-decode (requires a paged deployment).  On the
         ``vector`` core each optimistic decode span commits in bulk up to
         the step that exhausts the pool and replays only that step through
-        the scalar per-token loop (preemption included); ``scalar`` and
-        ``legacy`` walk every step per token.
+        the scalar per-token loop (preemption included); ``scalar`` walks
+        every step per token.
 
         ``max_concurrency`` caps the running batch; ``None`` (the default)
         means 1024, and values below 1 are rejected when a run starts.
@@ -226,7 +225,7 @@ class ServingEngine:
         ``phases.py`` evaluation (benchmark baselines).
 
         ``core`` selects the execution core (see the module docstring):
-        ``"vector"`` (default), ``"scalar"``, or ``"legacy"``.
+        ``"vector"`` (default) or ``"scalar"``.
 
         ``telemetry`` (default the no-op
         :data:`~repro.obs.telemetry.NULL_TELEMETRY`) attaches a streaming
@@ -316,7 +315,7 @@ class ServingEngine:
         chunk instead of stalling for the whole prefill — the mechanism
         behind those frameworks' smoother tail ITL under load.
 
-        ``decoding`` lists the rider requests on the scalar/legacy cores;
+        ``decoding`` lists the rider requests on the scalar core;
         the vector core passes ``None`` and rides the first ``riders``
         rows of the scheduler's request table instead (admission appends,
         so pre-admission requests always occupy the table's head).
@@ -597,8 +596,8 @@ class EngineRun:
     runs against a shared arrival stream, routing each request when the
     fleet has caught up to its arrival time.
 
-    ``horizon`` on :meth:`step` caps *voluntary* idle jumps and (on the
-    ``vector``/``scalar`` cores) bounds coalesced decode spans: an idle
+    ``horizon`` on :meth:`step` caps *voluntary* idle jumps and bounds
+    coalesced decode spans: an idle
     engine normally fast-forwards to its next queued arrival, but a
     cluster replica must not skip past a routing instant it cannot yet
     see.  Committed work (a prefill pass, a decode span) may still end
@@ -806,14 +805,11 @@ class EngineRun:
     def _coalesced_steps(self, horizon: float | None) -> int:
         """How many decode steps to commit as one span.
 
-        ``legacy`` core: coalesce to the shortest remaining budget only
-        when nothing is waiting anywhere (queue or ``pressure``), else 1.
-
-        ``vector``/``scalar`` cores (shared rule — their spans must be
-        bit-identical): bound the span by the next *scheduling event* —
-        the caller's ``horizon`` and the next future arrival.  An
-        arrived-but-blocked head is no bound: FIFO admission stays blocked
-        until a retirement, and a retirement ends the span anyway.  The
+        Both cores share this rule (their spans must be bit-identical):
+        bound the span by the next *scheduling event* — the caller's
+        ``horizon`` and the next future arrival.  An arrived-but-blocked
+        head is no bound: FIFO admission stays blocked until a
+        retirement, and a retirement ends the span anyway.  The
         step count to reach the bound is estimated from the current batch
         state (one kernel probe); spans may overshoot the bound by part of
         a step, matching the atomic in-flight iteration a real engine
@@ -832,12 +828,6 @@ class EngineRun:
             )
         if min_remaining <= 1 or not engine.coalesce:
             return 1
-        if engine.core == "legacy":
-            if scheduler.waiting:
-                return 1
-            if self._pressure is not None and self._pressure():
-                return 1
-            return min_remaining
         if self._pressure is not None and self._pressure():
             return 1
         limit = horizon

@@ -12,8 +12,10 @@ class TestParser:
 
     def test_point_defaults(self):
         args = build_parser().parse_args(
-            ["point", "--model", "m", "--hardware", "h", "--framework", "f"]
+            ["point", "--model", "llama-2-7b", "--hardware", "h100",
+             "--framework", "vllm"]
         )
+        assert args.model == "llama-2-7b"  # validated, passed through as typed
         assert args.batch_size == 1
         assert args.input_tokens == 1024
 
@@ -235,13 +237,51 @@ class TestNumRequestsValidation:
         assert len(json.loads(path.read_text())["requests"]) == 8
 
 
+class TestInputErrors:
+    """Bad names and non-positive counts are usage errors: exit 2 with
+    one ``error:`` line, never a traceback."""
+
+    _DEP = "--model Mistral-7B --hardware A100 --framework vLLM"
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            ("cluster --model NoSuchModel --hardware A100 --framework vLLM",
+             "--model: unknown model 'NoSuchModel'; known models: "),
+            ("point --model LLaMA-2-7B --hardware TPU --framework vLLM",
+             "--hardware: unknown hardware 'TPU'; known platforms: "),
+            ("analyze --model LLaMA-2-7B --hardware A100 --framework NoFw",
+             "--framework: unknown framework 'NoFw'; known frameworks: "),
+            ("scenario run chat-sharegpt --model NoSuchModel",
+             "--model: unknown model 'NoSuchModel'"),
+            (f"cluster {_DEP} --replicas 0", "--replicas: must be >= 1, got 0"),
+            (f"cluster {_DEP} --max-concurrency 0",
+             "--max-concurrency: must be >= 1, got 0"),
+            (f"cluster {_DEP} --num-requests 0",
+             "--num-requests: must be >= 1, got 0"),
+            ("scenario run chat-sharegpt --replicas 0",
+             "--replicas: must be >= 1, got 0"),
+            ("scenario run chat-sharegpt --max-concurrency -1",
+             "--max-concurrency: must be >= 1, got -1"),
+        ],
+    )
+    def test_exit_2_with_one_error_line(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv.split())
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert "Traceback" not in err and len(errors) == 1
+        assert f"error: argument {message}" in errors[0]
+
+
 class TestGoldenChaosProfile:
     """A profiled, telemetry-attached chaos run (crash + retries + the
     burn-rate autoscaler) must keep producing the committed profile and
     telemetry JSON byte for byte, so changes to the profiler or the
     telemetry bus cannot drift their numbers unnoticed.  The golden pins
-    the default core and its bit-identical scalar reference; the legacy
-    core's span rule legitimately rounds differently."""
+    both execution cores: the default vector core and its bit-identical
+    scalar reference."""
 
     @pytest.mark.parametrize("core", ["vector", "scalar"])
     def test_profile_and_telemetry_match_golden(

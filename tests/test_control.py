@@ -82,6 +82,14 @@ class TestFaultEvent:
         with pytest.raises(ValueError, match="replica"):
             FaultEvent("crash", at_s=1.0)  # crash needs a target
 
+    @pytest.mark.parametrize("field", ["at_s", "duration_s", "factor"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_fields_rejected(self, field, value):
+        fields = dict(at_s=1.0, replica="r0", duration_s=1.0, factor=2.0)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            FaultEvent("slowdown", **fields)
+
     def test_end_time(self):
         event = FaultEvent(
             "slowdown", at_s=2.0, replica="r0", duration_s=1.5, factor=2.0
@@ -115,6 +123,38 @@ class TestFaultSchedule:
         path = tmp_path / "faults.json"
         path.write_text(json.dumps(sched.to_json_dict()))
         assert FaultSchedule.load(path) == sched
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"kind": "crash", "at_s": NaN, "replica": "replica0"}',
+            '{"kind": "kv_loss", "at_s": 1.0, "duration_s": Infinity}',
+        ],
+    )
+    def test_load_rejects_non_finite_spec(self, tmp_path, record):
+        path = tmp_path / "faults.json"
+        path.write_text('{"events": [' + record + "]}")
+        with pytest.raises(ValueError, match="must be finite"):
+            FaultSchedule.load(path)
+
+    def test_generate_defaults_windows_only_for_none(self):
+        kwargs = dict(replicas=["r0", "r1"], horizon_s=10.0, num_crashes=0,
+                      num_slowdowns=1, num_kv_losses=1)
+        default = FaultSchedule.generate(**kwargs)
+        assert {e.duration_s for e in default.events} == {1.0}
+        explicit = FaultSchedule.generate(
+            slowdown_duration_s=0.25, kv_loss_duration_s=0.5, **kwargs
+        )
+        assert sorted(e.duration_s for e in explicit.events) == [0.25, 0.5]
+
+    @pytest.mark.parametrize(
+        "name", ["horizon_s", "slowdown_duration_s", "kv_loss_duration_s"]
+    )
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_generate_rejects_bad_horizon_and_windows(self, name, value):
+        kwargs = {"replicas": ["r0", "r1"], "horizon_s": 10.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            FaultSchedule.generate(**kwargs)
 
     def test_generate_is_seed_deterministic(self):
         kwargs = dict(

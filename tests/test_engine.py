@@ -54,12 +54,20 @@ class TestBasicRuns:
 
 class TestCoalescing:
     def test_coalesced_matches_stepwise(self):
-        trace_a = fixed_batch_trace(4, 64, 64)
-        trace_b = fixed_batch_trace(4, 64, 64)
-        fast = _engine(coalesce=True).run(trace_a)
-        slow = _engine(coalesce=False).run(trace_b)
-        assert fast.total_time_s == pytest.approx(slow.total_time_s, rel=1e-6)
-        assert fast.iterations < slow.iterations
+        """Event-horizon spans reproduce single-stepping to rounding, both
+        for a fixed batch with nothing waiting and for a saturated queue
+        where arrivals bound every span."""
+        inputs = (
+            (lambda: fixed_batch_trace(4, 64, 64), {}),
+            (lambda: open_loop_trace(32, 4.0, 384, 160, seed=7),
+             {"max_concurrency": 16}),
+        )
+        for make_trace, kwargs in inputs:
+            fast = _engine(coalesce=True, **kwargs).run(make_trace())
+            slow = _engine(coalesce=False, **kwargs).run(make_trace())
+            assert fast.total_time_s == pytest.approx(slow.total_time_s, rel=1e-6)
+            assert fast.total_tokens == slow.total_tokens
+            assert fast.iterations < slow.iterations
 
     def test_coalescing_preserves_itl(self):
         fast = _engine(coalesce=True).run(fixed_batch_trace(2, 64, 64))

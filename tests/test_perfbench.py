@@ -19,8 +19,8 @@ def _report(**overrides) -> BenchReport:
         "engine_iteration_rate": {
             "after_iters_per_s": BASELINE["engine_iteration_rate"]["after_iters_per_s"]
         },
-        "engine_vectorized": {"speedup": 14.0},
-        "cluster_vectorized": {"speedup": 14.0},
+        "engine_vectorized": {"speedup": 2.3},
+        "cluster_vectorized": {"speedup": 1.8},
         "optimize_screening": {"configs_per_s": 15000.0},
         "profiler_overhead": {"overhead_factor": 1.5},
         "telemetry_overhead": {"overhead_factor": 1.7},
@@ -59,6 +59,21 @@ def test_overhead_above_ceiling_trips_its_gate(name, message):
     assert len(failures) == 1
     assert failures[0].startswith(message)
     assert f"ceiling {ceiling:g}x" in failures[0]
+
+
+@pytest.mark.parametrize("name", ["engine_vectorized", "cluster_vectorized"])
+def test_speedup_below_floor_trips_its_gate(name):
+    floor = BASELINE[name]["min_speedup"]
+    at_floor = _report(**{name: {"speedup": floor}})
+    assert check_regression(at_floor, BASELINE) == []
+    failures = check_regression(
+        _report(**{name: {"speedup": floor * 0.99}}), BASELINE
+    )
+    assert len(failures) == 1
+    assert failures[0].startswith(f"{name} speedup regressed")
+    assert failures[0].endswith(
+        f"required {floor:g}x (scalar vs vector core)"
+    )
 
 
 def test_ceiling_is_skipped_when_baseline_omits_it():

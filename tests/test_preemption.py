@@ -116,7 +116,7 @@ class TestEnginePreemption:
         for r in result.requests:
             assert r.generated_tokens == r.output_tokens
 
-    @pytest.mark.parametrize("core", ["vector", "scalar", "legacy"])
+    @pytest.mark.parametrize("core", ["vector", "scalar"])
     def test_used_tokens_counter_matches_scan(self, core):
         """The allocator's running ``used_tokens`` count equals a scan of
         its sequences after every step of a preempting run, bulk decode

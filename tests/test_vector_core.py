@@ -8,11 +8,9 @@ numbers, per-request timestamps, trace events, profile reports, and the
 cluster's seed-deterministic control-plane JSON — must be *bit-identical*
 between the two, across the corner matrix (MI250 saturation, SN40L,
 MoE EP, disaggregation, faults, autoscaling, scenarios) and across a
-seeded randomized trace generator.
-
-The ``legacy`` core preserves the pre-vectorization span rule
-(waiting ⇒ single-step) and is only required to agree on physics to
-rounding (span boundaries land on different iteration grids).
+seeded randomized trace generator.  The scalar core is also the timed
+"before" of the ``engine_vectorized``/``cluster_vectorized`` bench
+entries, so this suite is what makes those speedups honest.
 """
 
 from __future__ import annotations
@@ -20,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -598,32 +597,6 @@ class TestOptimisticEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Legacy core: same physics to rounding, far fewer iterations
-
-
-class TestLegacyCore:
-    def test_legacy_physics_close_and_vector_fewer_iterations(self):
-        trace = open_loop_trace(32, 4.0, 384, 160, seed=7)
-        legacy = ServingEngine(_dep(), max_concurrency=16, core="legacy").run(
-            _clone(trace)
-        )
-        vector = ServingEngine(_dep(), max_concurrency=16, core="vector").run(
-            _clone(trace)
-        )
-        assert vector.total_time_s == pytest.approx(legacy.total_time_s, rel=1e-3)
-        assert vector.total_tokens == legacy.total_tokens
-        assert vector.iterations < legacy.iterations
-
-    def test_fixed_batch_legacy_identical(self):
-        """With nothing waiting mid-run, the legacy span rule coincides
-        with the event-horizon rule, so even legacy is bit-identical."""
-        trace = fixed_batch_trace(8, 128, 64)
-        legacy = ServingEngine(_dep(), core="legacy").run(_clone(trace))
-        vector = ServingEngine(_dep(), core="vector").run(_clone(trace))
-        _assert_results_identical(legacy, vector)
-
-
-# ----------------------------------------------------------------------
 # Core selection plumbing, cached aggregates, NaN safety
 
 
@@ -633,11 +606,21 @@ class TestCoreSelection:
         assert resolve_core(None) == "vector"
         monkeypatch.setenv("REPRO_ENGINE_CORE", "scalar")
         assert resolve_core(None) == "scalar"
-        assert resolve_core("legacy") == "legacy"  # explicit beats env
+        assert resolve_core("vector") == "vector"  # explicit beats env
 
-    def test_invalid_core_rejected(self):
-        with pytest.raises(ValueError, match="core"):
-            ServingEngine(_dep(), core="simd")
+    def test_invalid_core_rejected(self, monkeypatch):
+        expected = re.escape("('vector', 'scalar')")
+        for name in ("simd", "legacy"):
+            with pytest.raises(ValueError, match=expected):
+                ServingEngine(_dep(), core=name)
+            with pytest.raises(ValueError, match=expected):
+                ClusterSimulator(_dep(), 2, core=name)
+            monkeypatch.setenv("REPRO_ENGINE_CORE", name)
+            with pytest.raises(ValueError, match=expected):
+                ServingEngine(_dep())
+            with pytest.raises(ValueError, match=expected):
+                ClusterSimulator(_dep(), 2)
+            monkeypatch.delenv("REPRO_ENGINE_CORE")
 
     def test_scheduler_arrival_index_tracks_waiting(self):
         """The sorted arrival multiset stays equal to the waiting set's
