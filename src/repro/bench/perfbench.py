@@ -28,21 +28,28 @@ trajectory across PRs:
   reference core (per-token object loops) vs the ``vector`` core
   (struct-of-arrays commits), with a bit-identity check first;
 * **cluster_vectorized** — a multi-replica run, ``scalar`` vs ``vector``
-  core (batched replica selection + array commits), same check;
+  core (heap-ordered replica selection + array commits), same check;
 * **optimize_screening** — the deployment optimizer's analytic screening
   pass (:func:`repro.analysis.optimize.screen`, one vectorized kernel
   grid per deployment) vs a scalar per-config estimator loop timed on a
   sample and extrapolated; ``configs_per_s`` is gated by the baseline's
-  ``min_configs_per_s`` floor.
+  ``min_configs_per_s`` floor;
+* **cluster_scale** — a fleet-scale run on its own (no "before"): 64
+  replicas behind least-outstanding routing under Poisson arrivals at
+  200 req/s; ``requests_per_s`` (simulated requests per wall second) and
+  ``kb_per_request`` (peak traced Python heap per request) are gated by
+  the baseline's ``min_requests_per_s`` floor and ``max_kb_per_request``
+  ceiling.
 
 Every pair is checked for agreement before timings are reported — a
 benchmark that got faster by computing something else is a bug, not a win.
 CI runs the reduced grid and fails when the kernel-path engine iteration
 rate regresses more than ``--max-regression`` against
 ``benchmarks/baseline.json``, when the vectorized-core speedups fall
-below the baseline's ``min_speedup`` floors, or when an instrumentation
-overhead exceeds its ``max_overhead_factor`` ceiling (see
-docs/performance.md).
+below the baseline's ``min_speedup`` floors, when an instrumentation
+overhead exceeds its ``max_overhead_factor`` ceiling, or when the
+fleet-scale run falls below its throughput floor or above its memory
+ceiling (see docs/performance.md).
 """
 
 from __future__ import annotations
@@ -51,11 +58,13 @@ import datetime
 import json
 import platform
 import time
+import tracemalloc
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.bench.runner import default_plan
+from repro.cluster.router import LeastOutstandingTokensRouter
 from repro.cluster.simulator import ClusterSimulator
 from repro.core.request import GenerationConfig
 from repro.frameworks.base import get_framework
@@ -415,6 +424,56 @@ def _bench_cluster_vectorized(
     }
 
 
+def _bench_cluster_scale(
+    dep: Deployment, kernel: StepCostKernel, reduced: bool, repeats: int
+) -> dict[str, float]:
+    """Fleet-scale simulator throughput and memory, on their own.
+
+    64 replicas behind least-outstanding routing, Poisson arrivals at
+    200 req/s (512-token prompts, 256-token outputs): the shape where the
+    per-arrival and per-step fixed costs of the fleet loop dominate.
+    ``requests_per_s`` is trace requests over the best ``run()`` wall
+    time of ``repeats`` runs (trace construction excluded);
+    ``kb_per_request`` is the peak Python heap traced by ``tracemalloc``
+    during one further run, over the request count.  Every run must
+    finish every request.
+    """
+    num_replicas = 64
+    num_requests = 2_000 if reduced else 10_000
+
+    def run_once() -> float:
+        trace = open_loop_trace(num_requests, 200.0, 512, 256, seed=13)
+        simulator = ClusterSimulator(
+            dep,
+            num_replicas,
+            router=LeastOutstandingTokensRouter(),
+            kernel=kernel,
+        )
+        start = time.perf_counter()
+        result = simulator.run(trace)
+        elapsed = time.perf_counter() - start
+        if result.failed_requests or any(
+            r.finish_time is None for r in result.requests
+        ):
+            raise AssertionError("cluster_scale run left requests unfinished")
+        return elapsed
+
+    best = min(run_once() for _ in range(repeats))
+    tracemalloc.start()
+    try:
+        run_once()
+        peak_bytes = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {
+        "replicas": float(num_replicas),
+        "requests": float(num_requests),
+        "after_s": best,
+        "requests_per_s": num_requests / best,
+        "kb_per_request": peak_bytes / 1024.0 / num_requests,
+    }
+
+
 def _bench_scenario_trace(reduced: bool, repeats: int) -> dict[str, float]:
     """Cost of building a scenario trace (arrivals, turns, lengths, tenants).
 
@@ -535,7 +594,8 @@ def _bench_optimize_screening(reduced: bool, repeats: int) -> dict[str, float]:
 
 
 def run_benchmarks(reduced: bool = False, repeats: int | None = None) -> BenchReport:
-    """Run the ten before/after benchmarks and assemble a report."""
+    """Run the ten before/after benchmarks plus the fleet-scale run and
+    assemble a report."""
     if repeats is None:
         repeats = 2 if reduced else 3
     dep = _reference_deployment()
@@ -559,6 +619,7 @@ def run_benchmarks(reduced: bool = False, repeats: int | None = None) -> BenchRe
             dep, kernel, reduced, repeats
         ),
         "optimize_screening": _bench_optimize_screening(reduced, repeats),
+        "cluster_scale": _bench_cluster_scale(dep, kernel, reduced, repeats),
     }
     return BenchReport(
         date=datetime.date.today().isoformat(),
@@ -602,7 +663,10 @@ def check_regression(
       unprofiled run) and ``telemetry_overhead`` (hub attached vs
       ``NULL_TELEMETRY``) — must each stay below its baseline
       ``max_overhead_factor`` ceiling; same-process ratios again, so the
-      ceilings hold across machines.
+      ceilings hold across machines;
+    * the fleet-scale run (``cluster_scale``) must stay above the
+      baseline's absolute ``min_requests_per_s`` floor and below its
+      ``max_kb_per_request`` ceiling, both set with runner headroom.
     """
     if max_regression <= 1.0:
         raise ValueError("max_regression must be > 1.0")
@@ -647,6 +711,21 @@ def check_regression(
                 "optimize screening rate regressed: "
                 f"{config_rate:.0f} configs/s < floor {min_rate:g}"
             )
+    if "cluster_scale" in baseline:
+        gate = baseline["cluster_scale"]
+        row = report.benchmarks["cluster_scale"]
+        if row["requests_per_s"] < gate["min_requests_per_s"]:
+            failures.append(
+                "cluster scale rate regressed: "
+                f"{row['requests_per_s']:.0f} req/s < floor "
+                f"{gate['min_requests_per_s']:g}"
+            )
+        if row["kb_per_request"] > gate["max_kb_per_request"]:
+            failures.append(
+                "cluster scale memory regressed: "
+                f"{row['kb_per_request']:.2f} KB/request > ceiling "
+                f"{gate['max_kb_per_request']:g}"
+            )
     return failures
 
 
@@ -657,8 +736,18 @@ def render(report: BenchReport) -> str:
         f"{'benchmark':<24}{'before s':>12}{'after s':>12}{'speedup':>10}",
     ]
     for name, row in report.benchmarks.items():
+        if "before_s" not in row:  # a standalone run: no before, no ratio
+            lines.append(f"{name:<24}{'-':>12}{row['after_s']:>12.4f}{'-':>10}")
+            continue
         lines.append(
             f"{name:<24}{row['before_s']:>12.4f}{row['after_s']:>12.4f}"
             f"{row['speedup']:>9.1f}x"
+        )
+    scale = report.benchmarks.get("cluster_scale")
+    if scale is not None:
+        lines.append(
+            f"cluster_scale: {scale['requests']:.0f} requests on "
+            f"{scale['replicas']:.0f} replicas, {scale['requests_per_s']:.0f} "
+            f"simulated req/s, {scale['kb_per_request']:.2f} KB/request"
         )
     return "\n".join(lines)

@@ -51,6 +51,7 @@ experiment run|replay|compare|diff
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from collections.abc import Sequence
 
@@ -75,6 +76,16 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for rates that must be finite and above 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text}"
+        )
     return value
 
 
@@ -115,7 +126,7 @@ def _add_engine_workload_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input-tokens", type=int, default=1024)
     parser.add_argument("--output-tokens", type=int, default=1024)
     parser.add_argument(
-        "--rate", type=float, default=None,
+        "--rate", type=_positive_float, default=None,
         help="Poisson arrival rate (req/s); omit for the paper's fixed batch",
     )
     parser.add_argument(
@@ -230,11 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_p.add_argument("--replicas", type=_positive_int, default=4)
     cluster_p.add_argument("--router", default="least-outstanding",
                            choices=list_routers())
-    cluster_p.add_argument("--rate", type=float, default=8.0,
+    cluster_p.add_argument("--rate", type=_positive_float, default=8.0,
                            help="offered Poisson arrival rate (req/s)")
     cluster_p.add_argument("--num-requests", type=_positive_int, default=64)
-    cluster_p.add_argument("--mean-input-tokens", type=int, default=512)
-    cluster_p.add_argument("--mean-output-tokens", type=int, default=256)
+    cluster_p.add_argument("--mean-input-tokens", type=_positive_int, default=512)
+    cluster_p.add_argument("--mean-output-tokens", type=_positive_int, default=256)
     cluster_p.add_argument("--max-concurrency", type=_positive_int, default=32)
     cluster_p.add_argument("--seed", type=int, default=0,
                            help="RNG seed for arrivals, lengths and routing")
@@ -414,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated routers for the refinement stage")
     opt_p.add_argument("--input-tokens", type=int, default=512)
     opt_p.add_argument("--output-tokens", type=int, default=256)
-    opt_p.add_argument("--target-rate", type=float, default=4.0,
+    opt_p.add_argument("--target-rate", type=_positive_float, default=4.0,
                        help="offered request rate to provision for (req/s)")
     opt_p.add_argument("--max-replicas", type=int, default=16)
     opt_p.add_argument("--objective", default="cost_per_token",

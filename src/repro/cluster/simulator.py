@@ -45,8 +45,6 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.cluster.disagg import DisaggregationSpec, kv_transfer_time
 from repro.cluster.router import LeastOutstandingTokensRouter, Router, _least_outstanding
 from repro.control.autoscale import (
@@ -57,7 +55,13 @@ from repro.control.autoscale import (
 )
 from repro.control.plane import ControlPlane
 from repro.core.request import GenerationRequest, RequestState
-from repro.obs.metrics import Gauge, MetricsRegistry, MetricsSnapshot, percentile
+from repro.obs.metrics import (
+    Gauge,
+    GaugeBank,
+    MetricsRegistry,
+    MetricsSnapshot,
+    percentile,
+)
 from repro.obs.profiler import ProfileReport, merge_profiles
 from repro.obs.telemetry import NULL_TELEMETRY, TelemetryHub, TelemetrySnapshot
 from repro.obs.tracer import EventTracer, TraceEvent
@@ -79,6 +83,11 @@ _finish_time = operator.attrgetter("finish_time")
 
 #: Batch-1 decode context at which replica capacity weights are compared.
 _CAPACITY_PROBE_CONTEXT = 1024
+
+#: Per-replica fleet gauges sampled at every routing instant, and which
+#: of them hold integer samples.
+_REPLICA_SIGNALS = ("queue_depth", "outstanding_tokens", "kv_occupancy")
+_REPLICA_SIGNAL_INTS = (True, True, False)
 
 
 class Replica:
@@ -124,7 +133,8 @@ class Replica:
         self._prefix_lru: dict[int, None] = {}  # insertion-ordered LRU
         self.served: list[GenerationRequest] = []  # originals routed here
         # (queue_depth, outstanding_tokens, kv_occupancy) fleet gauges,
-        # bound by the simulator on the replica's first sample.
+        # bound by the simulator on the replica's first sample (scalar
+        # core; the vector core samples them through a GaugeBank row).
         self.gauges: tuple[Gauge, Gauge, Gauge] | None = None
 
     def apply_telemetry_scale(self, scale: float) -> None:
@@ -383,8 +393,8 @@ class ClusterSimulator:
                 )
         self.fleet = fleet
         # Execution core for every replica engine (see repro.runtime.engine):
-        # "vector" additionally batches the simulator's own replica
-        # selection into one masked-argmin array pass.
+        # "vector" additionally orders replica stepping through a heap and
+        # samples the fleet gauges through one GaugeBank pass per arrival.
         self.core = resolve_core(core)
         self.control = control
         # A null plane is provably inert; treat it exactly like no plane
@@ -405,11 +415,15 @@ class ClusterSimulator:
         # Run-scoped state (initialized in run()).
         self._replicas: list[Replica] = []
         self._prefill_fleet: list[Replica] = []
-        # Vector-core fleet arrays: per-replica clock and step eligibility
-        # (alive and has_work), index-aligned with ``_replicas`` so the
-        # next replica to step falls out of one masked argmin.
-        self._clock: np.ndarray | None = None
-        self._eligible: np.ndarray | None = None
+        # Vector-core fleet state, index-aligned with ``_replicas``: each
+        # replica's clock and step eligibility (alive and has_work), a heap
+        # of (clock, index) entries pushed whenever a replica becomes
+        # eligible at a new clock (stale entries are dropped lazily when
+        # they surface), and the bank holding the per-replica gauges.
+        self._clock: list[float] | None = None
+        self._eligible: list[bool] | None = None
+        self._ready: list[tuple[float, int]] = []
+        self._gauge_bank: GaugeBank | None = None
         self._next_index = 0
         self._events: list[tuple[float, int, str, object]] = []
         self._seq = itertools.count()
@@ -472,11 +486,14 @@ class ClusterSimulator:
             core=self.core,
             **({"tracer": tracer} if tracer is not None else {}),
         )
+        # Only prefill replicas can inject work mid-loop (KV handoffs); without
+        # them the pressure probe is always False, so it is not wired in.
+        pressure = self._pressure if self.disaggregation is not None else None
         return Replica(
             index,
             name,
             engine,
-            engine.start(pressure=self._pressure),
+            engine.start(pressure=pressure),
             role,
             prefix_cache_slots=self.prefix_cache_slots,
             deployment=dep,
@@ -498,17 +515,29 @@ class ClusterSimulator:
                 )
             )
         self._replicas = []
+        if self.core == "vector":
+            self._clock = []
+            self._eligible = []
+            self._ready = []
+            self._gauge_bank = GaugeBank(
+                self._registry, _REPLICA_SIGNALS, _REPLICA_SIGNAL_INTS
+            )
+        else:
+            self._clock = self._eligible = self._gauge_bank = None
         for index, (role, dep) in enumerate(specs):
             name = f"{role}{index}" if disagg is not None else f"replica{index}"
-            self._replicas.append(self._make_replica(index, name, dep, role))
+            self._add_replica(self._make_replica(index, name, dep, role))
         self._next_index = len(specs)
         self._prefill_fleet = [r for r in self._replicas if r.role == "prefill"]
-        if self.core == "vector":
-            n = len(self._replicas)
-            self._clock = np.zeros(n, dtype=np.float64)
-            self._eligible = np.zeros(n, dtype=bool)
-        else:
-            self._clock = self._eligible = None
+
+    def _add_replica(self, replica: Replica) -> None:
+        """Append a replica to the fleet (and its vector-core state)."""
+        self._replicas.append(replica)
+        if self._eligible is not None:
+            self._clock.append(replica.run.now)
+            self._eligible.append(False)
+            self._gauge_bank.add_row(replica.name)
+            self._sync_replica(replica)
 
     def _pressure(self) -> bool:
         """More work may still arrive *before* the step horizon: hold
@@ -522,34 +551,50 @@ class ClusterSimulator:
         return any(r.alive and r.has_work for r in self._prefill_fleet)
 
     def _sync_replica(self, replica: Replica) -> None:
-        """Refresh one replica's row in the fleet arrays (vector core)."""
+        """Refresh one replica's fleet state after its run changed
+        (vector core): clock, eligibility, ready-heap entry and the
+        gauge-bank values the next routing instant samples."""
         eligible = self._eligible
         if eligible is None:
             return
         i = replica.index
-        self._clock[i] = replica.run.now
-        eligible[i] = replica.alive and replica.run.has_work
+        run = replica.run
+        now = run.now
+        scheduler = run.scheduler
+        ok = replica.alive and scheduler.has_work
+        if ok and (not eligible[i] or self._clock[i] != now):
+            heapq.heappush(self._ready, (now, i))
+        self._clock[i] = now
+        eligible[i] = ok
+        allocator = scheduler.allocator
+        capacity = allocator.capacity_tokens
+        self._gauge_bank.values[i] = (
+            len(scheduler.waiting),
+            run._outstanding,
+            allocator.used_tokens / capacity if capacity > 0 else 0.0,
+        )
 
     def _select(self, bound: float | None) -> Replica | None:
         """Least-advanced eligible replica (clock < ``bound`` if given).
 
-        Vector core: one masked argmin over the fleet arrays — argmin
-        returns the first minimum, which is the lowest index among
-        clock ties, exactly the scalar ``min(..., key=(now, index))``
-        tie-break.  Other cores scan the replica list (reference path).
+        Vector core: the top of the ready heap once stale entries (the
+        replica moved on or stopped being eligible) are popped.  Heap
+        order is (clock, index), so clock ties go to the lowest index —
+        exactly the scalar ``min(..., key=(now, index))`` tie-break.
+        Other cores scan the replica list (reference path).
         """
         eligible = self._eligible
         if eligible is not None:
-            mask = (
-                eligible
-                if bound is None
-                else eligible & (self._clock < bound)
-            )
-            masked = np.where(mask, self._clock, np.inf)
-            i = int(np.argmin(masked))
-            if masked[i] == np.inf:
-                return None
-            return self._replicas[i]
+            ready = self._ready
+            clock = self._clock
+            while ready:
+                at, i = ready[0]
+                if eligible[i] and clock[i] == at:
+                    if bound is not None and not at < bound:
+                        return None
+                    return self._replicas[i]
+                heapq.heappop(ready)
+            return None
         candidates = [
             r
             for r in self._replicas
@@ -775,7 +820,10 @@ class ClusterSimulator:
         if not pool:
             self._fail(request, now)
             return
-        self._sample_gauges(self._replicas, now)
+        if self._gauge_bank is not None:
+            self._gauge_bank.sample(now)
+        else:
+            self._sample_gauges(self._replicas, now)
         chosen = self.router.route(request, pool, now)
         cached = 0
         if request.prefix_id is not None:
@@ -937,6 +985,8 @@ class ClusterSimulator:
         replica.alive = False
         replica.status = "crashed"
         self._sync_replica(replica)
+        if self._gauge_bank is not None:
+            self._gauge_bank.retire(replica.index)
         victims = [r for r in replica.run.submitted if not r.is_finished]
         self._fault_log.append(
             {
@@ -1156,10 +1206,7 @@ class ClusterSimulator:
             index, name, dep, self._serving_role, start_s=ts + warmup, created_s=ts
         )
         replica.status = "scaled"
-        self._replicas.append(replica)
-        if self._eligible is not None:
-            self._clock = np.append(self._clock, 0.0)
-            self._eligible = np.append(self._eligible, False)
+        self._add_replica(replica)
         self._last_scale_s = ts
         self._scale_log.append(
             {"action": "up", "ts_s": ts, "replica": name, "ready_s": ts + warmup}
@@ -1197,7 +1244,8 @@ class ClusterSimulator:
     # ------------------------------------------------------------------
 
     def _sample_gauges(self, replicas: list[Replica], now: float) -> None:
-        """Per-replica fleet gauges at each routing instant.
+        """Per-replica fleet gauges at each routing instant (scalar core;
+        the vector core's GaugeBank produces the same statistics).
 
         Each replica's three gauges are registered on its first sample
         (so registry order follows first sampling, scaled-up replicas
@@ -1211,7 +1259,7 @@ class ClusterSimulator:
                 registry = self._registry
                 gauges = replica.gauges = tuple(
                     registry.gauge(f"{replica.name}.{signal}")
-                    for signal in ("queue_depth", "outstanding_tokens", "kv_occupancy")
+                    for signal in _REPLICA_SIGNALS
                 )
             queue_depth, outstanding, kv_occupancy = gauges
             queue_depth.set(replica.queue_depth, ts_s=now)
@@ -1299,6 +1347,8 @@ class ClusterSimulator:
                     request.output_tokens - 1
                 )
                 registry.histogram("itl_s").record(gap)
+        if self._gauge_bank is not None:
+            self._gauge_bank.flush()
         registry.counter("routed").inc(len(trace))
         registry.counter("prefix_hits").inc(self._prefix_hits)
         registry.counter("handoffs").inc(self._handoffs)

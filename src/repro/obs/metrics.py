@@ -16,13 +16,17 @@ with post-hoc numpy analysis to the float (tested).
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.core.jsonnum import from_json_num, json_num
 
 __all__ = [
     "Counter",
     "Gauge",
+    "GaugeBank",
     "Histogram",
     "HistogramStats",
     "GaugeStats",
@@ -147,6 +151,195 @@ class Gauge:
         if span <= 0.0:
             return sum(self._instant_values) / self.count
         return self._weighted / span
+
+
+class GaugeBank:
+    """Rows of gauges sampled together, updated in one array pass.
+
+    Each row is a group of gauges that are always sampled at the same
+    instant (one cluster replica's queue depth, outstanding tokens and KV
+    occupancy): the owner writes a row's current values into
+    :attr:`values` whenever they change, and :meth:`sample` records every
+    live row at once — one elementwise numpy pass instead of one
+    :meth:`Gauge.set` per gauge.  :meth:`flush` writes the statistics
+    into the registry's :class:`Gauge` objects, which then snapshot
+    exactly as if every sample had gone through :meth:`Gauge.set`:
+
+    * a row's gauges are registered in the registry on the row's first
+      sample, so registry order follows first sampling, rows added late
+      included;
+    * the time-weighted sum adds ``last * (ts - last_ts)`` per sample and
+      min/max replace on ``<``/``>`` — the same IEEE operations in the
+      same order as the scalar fold;
+    * signals flagged ``integer`` hold exact integers in the float64
+      columns (below 2**53) and come back out as Python ints;
+    * the zero-span fallback keeps each row's values as a list while all
+      its samples share the first timestamp, as :class:`Gauge` does (as
+      floats: integer samples below 2**53 sum to the same plain mean).
+
+    Retired rows (:meth:`retire`, e.g. a crashed replica) are skipped by
+    every later sample.  Samples must arrive in time order.
+    """
+
+    def __init__(
+        self,
+        registry: "MetricsRegistry",
+        signals: Sequence[str],
+        integer: Sequence[bool],
+    ) -> None:
+        if len(signals) != len(integer):
+            raise ValueError("one integer flag per signal")
+        self._registry = registry
+        self._signals = tuple(signals)
+        self._integer = tuple(integer)
+        k = len(self._signals)
+        capacity = 8
+        self.values = np.zeros((capacity, k))
+        self._minimum = np.zeros((capacity, k))
+        self._maximum = np.zeros((capacity, k))
+        self._last = np.zeros((capacity, k))
+        self._weighted = np.zeros((capacity, k))
+        self._first_ts = np.zeros(capacity)
+        self._last_ts = np.zeros(capacity)
+        self._count = np.zeros(capacity, dtype=np.int64)
+        self._live = np.zeros(capacity, dtype=bool)
+        self._prefixes: list[str] = []
+        self._gauges: list[tuple[Gauge, ...] | None] = []
+        # Per-row sample values while all share the first timestamp.
+        self._instant: dict[int, list[list]] = {}
+        self._unregistered = 0  # live rows not sampled yet
+        self._all_live = True  # no row retired: sample slices, not masks
+        self._last_sample_ts = float("-inf")
+        self.n = 0
+
+    def add_row(self, prefix: str) -> None:
+        """Append a row (index ``n``) whose gauges are named
+        ``f"{prefix}.{signal}"``.  Its values start at zero."""
+        i = self.n
+        if i == len(self._count):
+            self._grow()
+        self._prefixes.append(prefix)
+        self._gauges.append(None)
+        self._live[i] = True
+        self._unregistered += 1
+        self.n = i + 1
+
+    def _grow(self) -> None:
+        for name in (
+            "values", "_minimum", "_maximum", "_last", "_weighted",
+            "_first_ts", "_last_ts", "_count", "_live",
+        ):
+            column = getattr(self, name)
+            grown = np.zeros((2 * len(column),) + column.shape[1:], column.dtype)
+            grown[: len(column)] = column
+            setattr(self, name, grown)
+
+    def retire(self, row: int) -> None:
+        """Stop sampling ``row`` (its statistics so far are kept)."""
+        if self._live[row]:
+            self._live[row] = False
+            self._all_live = False
+            if self._gauges[row] is None:
+                self._unregistered -= 1
+
+    def sample(self, ts_s: float) -> None:
+        """Record every live row's current :attr:`values` at ``ts_s``."""
+        previous = self._last_sample_ts
+        if not ts_s >= previous:
+            raise ValueError(
+                f"out-of-order sample on gauge bank: ts {ts_s} < last ts "
+                f"{previous}"
+            )
+        self._last_sample_ts = ts_s
+        n = self.n
+        values = self.values[:n]
+        last = self._last[:n]
+        minimum = self._minimum[:n]
+        maximum = self._maximum[:n]
+        if not self._unregistered and self._all_live:
+            # Every row took every earlier sample, so each one's last
+            # timestamp is the previous sample's and its held interval
+            # is one scalar.
+            if self._instant:
+                self._extend_instant(ts_s, None)
+            self._weighted[:n] += last * (ts_s - previous)
+            np.copyto(minimum, values, where=values < minimum)
+            np.copyto(maximum, values, where=values > maximum)
+            last[...] = values
+            self._last_ts[:n] = ts_s
+            self._count[:n] += 1
+            return
+        # Rows that already hold samples and take this one.
+        count = self._count[:n]
+        new = self._live[:n] & (count == 0)
+        rows = self._live[:n] & ~new
+        if self._instant:
+            self._extend_instant(ts_s, rows)
+        where = rows[:, None]
+        weighted = self._weighted[:n]
+        np.add(
+            weighted,
+            last * (ts_s - self._last_ts[:n])[:, None],
+            out=weighted,
+            where=where,
+        )
+        np.copyto(minimum, values, where=(values < minimum) & where)
+        np.copyto(maximum, values, where=(values > maximum) & where)
+        np.copyto(last, values, where=where)
+        np.copyto(self._last_ts[:n], ts_s, where=rows)
+        count += rows
+        for i in np.flatnonzero(new).tolist():
+            self._register(i, ts_s)
+
+    def _register(self, i: int, ts_s: float) -> None:
+        """First sample of row ``i``: register its gauges, seed its stats."""
+        registry = self._registry
+        prefix = self._prefixes[i]
+        self._gauges[i] = tuple(
+            registry.gauge(f"{prefix}.{signal}") for signal in self._signals
+        )
+        self._unregistered -= 1
+        row = self.values[i]
+        self._minimum[i] = self._maximum[i] = self._last[i] = row
+        self._weighted[i] = 0.0
+        self._first_ts[i] = self._last_ts[i] = ts_s
+        self._count[i] = 1
+        self._instant[i] = [[v] for v in row.tolist()]
+
+    def _extend_instant(self, ts_s: float, rows: np.ndarray | None) -> None:
+        """Zero-span bookkeeping for sampled rows (all when ``rows`` is
+        None) still at their first timestamp: keep their values, or drop
+        the lists once time moves on."""
+        for i in list(self._instant):
+            if rows is not None and not rows[i]:
+                continue
+            if ts_s == self._first_ts[i]:
+                for column, value in zip(self._instant[i], self.values[i].tolist()):
+                    column.append(value)
+            else:
+                del self._instant[i]
+
+    def flush(self) -> None:
+        """Write every registered row's statistics into its gauges."""
+        for i, gauges in enumerate(self._gauges):
+            if gauges is None:
+                continue
+            count = int(self._count[i])
+            first_ts = float(self._first_ts[i])
+            last_ts = float(self._last_ts[i])
+            instant = self._instant.get(i)
+            for k, gauge in enumerate(gauges):
+                cast = int if self._integer[k] else float
+                gauge.count = count
+                gauge.minimum = cast(self._minimum[i, k])
+                gauge.maximum = cast(self._maximum[i, k])
+                gauge._first_ts = first_ts
+                gauge._last_ts = last_ts
+                gauge._last_value = cast(self._last[i, k])
+                gauge._weighted = float(self._weighted[i, k])
+                gauge._instant_values = (
+                    list(instant[k]) if instant is not None else None
+                )
 
 
 class Histogram:

@@ -401,7 +401,12 @@ class ServingEngine:
         run: "EngineRun",
         running: list[GenerationRequest],
         steps: int,
-    ) -> None:
+    ) -> bool:
+        """Commit ``steps`` lockstep decode tokens for ``running``.
+
+        Returns False when the span provably finished no request (the
+        vector commit reported no finisher rows), so the caller can skip
+        the retirement pass; True otherwise."""
         now = run.now
         batch = len(running)
         table = run.scheduler.table
@@ -415,13 +420,15 @@ class ServingEngine:
         step_bd = self.kernel.decode_step(batch, span_ctx)
         if run.cost_scale != 1.0:  # fault-injected straggler multiplier
             step_bd = step_bd.scaled(run.cost_scale)
-        span_bd = step_bd.scaled(float(steps))
+        # The span's duration: the same product ``step_bd.scaled(steps)``
+        # would store in its ``total_s``, without building the object.
+        span_s = step_bd.total_s * float(steps)
         step_power_w = self._phase_power(step_bd)
-        run.energy_j += span_bd.total_s * step_power_w
+        run.energy_j += span_s * step_power_w
         if run.profiler.enabled:
             run.profiler.record_decode(
                 now, step_bd, batch, span_ctx, steps,
-                span_bd.total_s * step_power_w, running,
+                span_s * step_power_w, running,
             )
         traced = self.tracer.enabled
         if traced:
@@ -429,7 +436,7 @@ class ServingEngine:
                 "decode_span",
                 "decode",
                 now,
-                span_bd.total_s,
+                span_s,
                 batch=batch,
                 steps=steps,
                 span_ctx=span_ctx,
@@ -443,7 +450,7 @@ class ServingEngine:
             # so each finisher's last token lands exactly at the span end —
             # the identical float expression the scalar loop evaluates.
             finished = table.commit_decode(steps)
-            last_time = now + step_bd.total_s * steps
+            last_time = now + span_s
             if traced:
                 self.tracer.advance(last_time)
             for i in finished.tolist():
@@ -452,7 +459,9 @@ class ServingEngine:
                 request.finish_time = last_time
                 request.state = RequestState.FINISHED
             run._outstanding -= batch * steps
-        elif self._bulk_optimistic:
+            run.now = last_time
+            return len(finished) > 0
+        if self._bulk_optimistic:
             self._commit_optimistic_span(run, running, steps, step_bd.total_s)
         else:
             active = list(running)
@@ -462,7 +471,8 @@ class ServingEngine:
                 if traced:
                     self.tracer.advance(token_time)
                 active = self._decode_step(run, active, live, token_time)
-        run.now = now + span_bd.total_s
+        run.now = now + span_s
+        return True
 
     def _decode_step(
         self,
@@ -720,8 +730,10 @@ class EngineRun:
             )
 
         steps = self._coalesced_steps(horizon)
-        engine._run_decode_span(self, running, steps)
+        finishers = engine._run_decode_span(self, running, steps)
         self.decode_steps += steps
+        if not finishers:
+            return []
         retired = scheduler.retire_finished()
         self._observe_retired(retired)
         return retired

@@ -25,6 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -212,10 +213,9 @@ class Scheduler:
         for request in done:
             self.allocator.free(request.request_id)
             self.stats.finished += 1
-        keep = np.setdiff1d(
-            np.arange(table.n, dtype=np.intp), finished, assume_unique=True
-        )
-        self.running = [running[i] for i in keep.tolist()]
+        keep = np.ones(table.n, dtype=bool)
+        keep[finished] = False
+        self.running = list(compress(running, keep.tolist()))
         table.compact(keep)
         return done
 

@@ -21,7 +21,10 @@ Python loop over request objects — and syncs objects back lazily:
 
 All columns are int64 and all commits are integer arithmetic, so the
 table is exact — equivalence with the scalar core is bit-identity, not
-tolerance (enforced by ``tests/test_vector_core.py``).
+tolerance (enforced by ``tests/test_vector_core.py``).  The table also
+keeps the sum of context lengths (input + generated over all rows) as a
+running Python int, adjusted by every row operation, so the span logic
+reads it in O(1) instead of reducing two columns per decode span.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ _MIN_CAPACITY = 64
 class RequestTable:
     """Parallel int64 columns over a scheduler's running set."""
 
-    __slots__ = ("_input", "_output", "_generated", "n")
+    __slots__ = ("_input", "_output", "_generated", "n", "_context")
 
     def __init__(self, capacity: int = _MIN_CAPACITY) -> None:
         capacity = max(capacity, _MIN_CAPACITY)
@@ -46,6 +49,7 @@ class RequestTable:
         self._output = np.empty(capacity, dtype=np.int64)
         self._generated = np.empty(capacity, dtype=np.int64)
         self.n = 0
+        self._context = 0  # sum of input + generated over rows [0, n)
 
     def __len__(self) -> int:
         return self.n
@@ -69,6 +73,7 @@ class RequestTable:
         self._input[i] = request.input_tokens
         self._output[i] = request.output_tokens
         self._generated[i] = request.generated_tokens
+        self._context += request.input_tokens + request.generated_tokens
         self.n = i + 1
 
     def sync_tail(self, running: list[GenerationRequest], count: int) -> None:
@@ -79,29 +84,40 @@ class RequestTable:
         admitted set always occupies the table's tail because admission
         appends and nothing retires mid-pass.
         """
+        gen = self._generated
         for i in range(self.n - count, self.n):
-            self._generated[i] = running[i].generated_tokens
+            generated = running[i].generated_tokens
+            self._context += generated - int(gen[i])
+            gen[i] = generated
 
     def drop(self, index: int) -> None:
         """Remove one row preserving order (``running.remove`` analogue)."""
         n = self.n
         if not 0 <= index < n:
             raise IndexError(f"row {index} out of range for table of {n}")
+        self._context -= int(self._input[index] + self._generated[index])
         for name in ("_input", "_output", "_generated"):
             column = getattr(self, name)
             column[index : n - 1] = column[index + 1 : n]
         self.n = n - 1
 
     def compact(self, keep: np.ndarray) -> None:
-        """Keep only rows ``keep`` (sorted indices), preserving order."""
-        m = len(keep)
+        """Keep only the rows where the boolean mask ``keep`` (one entry
+        per row) is True, preserving order."""
+        n = self.n
+        gone = ~keep
+        self._context -= int(self._input[:n][gone].sum()) + int(
+            self._generated[:n][gone].sum()
+        )
+        m = n - int(np.count_nonzero(gone))
         for name in ("_input", "_output", "_generated"):
             column = getattr(self, name)
-            column[:m] = column[: self.n][keep]
+            column[:m] = column[:n][keep]
         self.n = m
 
     def clear(self) -> None:
         self.n = 0
+        self._context = 0
 
     # ------------------------------------------------------------------
     # Reductions the engine's span logic needs (all exact int arithmetic).
@@ -112,9 +128,8 @@ class RequestTable:
         return int((self._output[:n] - self._generated[:n]).min())
 
     def context_sum(self) -> int:
-        """Sum of current context lengths (input + generated)."""
-        n = self.n
-        return int(self._input[:n].sum() + self._generated[:n].sum())
+        """Sum of current context lengths (input + generated), O(1)."""
+        return self._context
 
     def finished_rows(self) -> np.ndarray:
         """Sorted row indices whose generation budget is exhausted."""
@@ -135,6 +150,7 @@ class RequestTable:
         n = self.n
         gen = self._generated[:n]
         gen += steps
+        self._context += n * steps
         return np.nonzero(gen >= self._output[:n])[0]
 
     def commit_rider_chunk(self, count: int) -> tuple[int, np.ndarray]:
@@ -148,7 +164,9 @@ class RequestTable:
         active = gen < out
         gen += active  # one token to each still-active rider
         newly = np.nonzero(active & (gen >= out))[0]
-        return int(active.sum()), newly
+        given = int(np.count_nonzero(active))
+        self._context += given
+        return given, newly
 
     # ------------------------------------------------------------------
     # Object synchronization.

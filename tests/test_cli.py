@@ -263,6 +263,24 @@ class TestInputErrors:
              "--replicas: must be >= 1, got 0"),
             ("scenario run chat-sharegpt --max-concurrency -1",
              "--max-concurrency: must be >= 1, got -1"),
+            (f"cluster {_DEP} --rate nan",
+             "--rate: must be a finite number > 0, got nan"),
+            (f"cluster {_DEP} --rate inf",
+             "--rate: must be a finite number > 0, got inf"),
+            (f"cluster {_DEP} --rate -1",
+             "--rate: must be a finite number > 0, got -1"),
+            (f"cluster {_DEP} --mean-input-tokens 0",
+             "--mean-input-tokens: must be >= 1, got 0"),
+            (f"cluster {_DEP} --mean-output-tokens 0",
+             "--mean-output-tokens: must be >= 1, got 0"),
+            (f"trace {_DEP} --rate 0",
+             "--rate: must be a finite number > 0, got 0"),
+            (f"profile {_DEP} --rate nan",
+             "--rate: must be a finite number > 0, got nan"),
+            ("optimize --target-rate nan",
+             "--target-rate: must be a finite number > 0, got nan"),
+            ("optimize --target-rate=-inf",
+             "--target-rate: must be a finite number > 0, got -inf"),
         ],
     )
     def test_exit_2_with_one_error_line(self, argv, message, capsys):
@@ -362,10 +380,13 @@ class TestClusterExportFlags:
 
     @pytest.mark.parametrize("flag", ["--mean-input-tokens", "--mean-output-tokens"])
     @pytest.mark.parametrize("bad", ["0", "-5"])
-    def test_non_positive_mean_tokens_rejected(self, flag, bad):
-        name = flag.lstrip("-").replace("-", "_")
-        with pytest.raises(ValueError, match=name):
+    def test_non_positive_mean_tokens_rejected(self, flag, bad, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main([*self._ARGS, flag, bad])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"error: argument {flag}: must be >= 1, got {bad}" in err
 
     def test_cluster_export_flags_are_deterministic(self, capsys, tmp_path):
         import json

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.obs.metrics import (
     Gauge,
+    GaugeBank,
     Histogram,
     MetricsRegistry,
     MetricsSnapshot,
@@ -200,6 +201,195 @@ class TestStreamingGaugeEquivalence:
         assert all(_same(g, w) for g, w in zip(got, want)), (got, want)
         assert _same(streaming.last, want[0])
         assert _same(streaming.time_weighted_mean(), want[3])
+
+
+_SIGNALS = ("queue_depth", "outstanding_tokens", "kv_occupancy")
+_INTS = (True, True, False)
+
+
+class _BankOracle:
+    """What the bank replaces: one :class:`_ListGauge` per (row, signal),
+    each live row's gauges set in row order at every sample and
+    registered on the row's first sample."""
+
+    def __init__(self) -> None:
+        self.prefixes: list[str] = []
+        self.values: list[list] = []
+        self.live: list[bool] = []
+        self.gauges: dict[str, _ListGauge] = {}  # registration order
+
+    def add_row(self, prefix: str) -> None:
+        self.prefixes.append(prefix)
+        self.values.append([0, 0, 0.0])
+        self.live.append(True)
+
+    def sample(self, ts: float) -> None:
+        for prefix, row, live in zip(self.prefixes, self.values, self.live):
+            if not live:
+                continue
+            for signal, value in zip(_SIGNALS, row):
+                name = f"{prefix}.{signal}"
+                self.gauges.setdefault(name, _ListGauge()).set(value, ts_s=ts)
+
+
+def _bank_matches(registry: MetricsRegistry, bank: GaugeBank, oracle) -> None:
+    bank.flush()
+    got = registry.snapshot().gauges
+    assert list(got) == list(oracle.gauges)  # registry order
+    for name, gauge in oracle.gauges.items():
+        stats = got[name]
+        have = (stats.last, stats.minimum, stats.maximum,
+                stats.time_weighted_mean, stats.num_samples)
+        want = gauge.stats()
+        assert all(_same(h, w) for h, w in zip(have, want)), (name, have, want)
+
+
+def _drive(ops) -> tuple[MetricsRegistry, GaugeBank, _BankOracle]:
+    registry = MetricsRegistry()
+    bank = GaugeBank(registry, _SIGNALS, _INTS)
+    oracle = _BankOracle()
+    ts = 0.0
+    for op in ops:
+        kind = op[0]
+        if kind == "add":
+            prefix = f"r{bank.n}"
+            bank.add_row(prefix)
+            oracle.add_row(prefix)
+        elif kind == "set" and bank.n:
+            _, row, queue, outstanding, kv = op
+            row %= bank.n
+            bank.values[row] = (queue, outstanding, kv)
+            oracle.values[row] = [queue, outstanding, kv]
+        elif kind == "retire" and bank.n:
+            row = op[1] % bank.n
+            bank.retire(row)
+            oracle.live[row] = False
+        elif kind == "sample":
+            ts += op[1]
+            bank.sample(ts)
+            oracle.sample(ts)
+    return registry, bank, oracle
+
+
+class TestGaugeBank:
+    """The bank's statistics equal the per-gauge list fold, bit for bit."""
+
+    def test_int_samples_stay_ints(self):
+        registry, bank, oracle = _drive([
+            ("add",), ("set", 0, 3, 700, 0.25), ("sample", 0.0),
+            ("set", 0, 5, 20, 0.5), ("sample", 1.5), ("sample", 2.0),
+        ])
+        _bank_matches(registry, bank, oracle)
+        stats = registry.snapshot().gauges
+        for name in ("r0.queue_depth", "r0.outstanding_tokens"):
+            for field_ in ("last", "minimum", "maximum"):
+                assert type(getattr(stats[name], field_)) is int
+        assert stats["r0.queue_depth"].maximum == 5
+        assert type(stats["r0.kv_occupancy"].minimum) is float
+
+    def test_single_sample_keeps_its_int(self):
+        registry, bank, oracle = _drive([("add",), ("set", 0, 4, 9, 0.1), ("sample", 3.0)])
+        _bank_matches(registry, bank, oracle)
+        assert registry.snapshot().gauges["r0.queue_depth"].time_weighted_mean == 4
+
+    def test_retired_rows_are_skipped(self):
+        registry, bank, oracle = _drive([
+            ("add",), ("add",), ("set", 1, 2, 2, 0.2), ("sample", 0.0),
+            ("retire", 0), ("set", 0, 99, 99, 0.99), ("sample", 1.0),
+            ("set", 1, 7, 1, 0.7), ("sample", 2.0),
+        ])
+        _bank_matches(registry, bank, oracle)
+        gauges = registry.snapshot().gauges
+        assert gauges["r0.queue_depth"].num_samples == 1
+        assert gauges["r0.queue_depth"].maximum == 0
+        assert gauges["r1.queue_depth"].num_samples == 3
+
+    def test_row_retired_before_its_first_sample_never_registers(self):
+        registry, bank, oracle = _drive([
+            ("add",), ("add",), ("retire", 0), ("sample", 1.0), ("sample", 1.0),
+        ])
+        _bank_matches(registry, bank, oracle)
+        assert "r0.queue_depth" not in registry.snapshot().gauges
+
+    def test_late_row_registers_after_earlier_gauges(self):
+        registry = MetricsRegistry()
+        bank = GaugeBank(registry, _SIGNALS, _INTS)
+        bank.add_row("a")
+        bank.sample(0.0)
+        registry.gauge("fleet.serving").set(1, ts_s=0.5)
+        bank.add_row("b")
+        bank.values[1] = (1, 2, 0.5)
+        bank.sample(1.0)
+        bank.values[1] = (3, 4, 0.25)
+        bank.sample(4.0)
+        bank.flush()
+        gauges = registry.snapshot().gauges
+        assert list(gauges) == [
+            "a.queue_depth", "a.outstanding_tokens", "a.kv_occupancy",
+            "fleet.serving",
+            "b.queue_depth", "b.outstanding_tokens", "b.kv_occupancy",
+        ]
+        late = gauges["b.kv_occupancy"]
+        assert late.num_samples == 2
+        assert late.time_weighted_mean == 0.5  # 0.5 held over [1, 4)
+
+    def test_zero_span_samples_average_plainly(self):
+        registry, bank, oracle = _drive([
+            ("add",), ("set", 0, 1, 10, 0.1), ("sample", 2.0),
+            ("set", 0, 2, 20, 0.7), ("sample", 0.0),
+            ("set", 0, 6, 30, 0.2), ("sample", 0.0),
+        ])
+        _bank_matches(registry, bank, oracle)
+        gauges = registry.snapshot().gauges
+        assert gauges["r0.queue_depth"].time_weighted_mean == 3.0
+        assert gauges["r0.kv_occupancy"].time_weighted_mean == sum(
+            [0.1, 0.7, 0.2]
+        ) / 3
+
+    def test_zero_span_list_dropped_once_time_moves(self):
+        registry, bank, oracle = _drive([
+            ("add",), ("set", 0, 1, 1, 0.1), ("sample", 0.0), ("sample", 0.0),
+            ("set", 0, 4, 4, 0.4), ("sample", 2.0), ("add",), ("sample", 0.0),
+            ("sample", 0.0), ("sample", 1.0),
+        ])
+        _bank_matches(registry, bank, oracle)
+
+    def test_out_of_order_sample_raises(self):
+        bank = GaugeBank(MetricsRegistry(), _SIGNALS, _INTS)
+        bank.add_row("a")
+        bank.sample(2.0)
+        with pytest.raises(ValueError, match="out-of-order"):
+            bank.sample(1.0)
+
+    def test_grows_past_initial_capacity(self):
+        ops = [("add",)] * 20 + [("set", i, i, 2 * i, i / 20) for i in range(20)]
+        registry, bank, oracle = _drive(ops + [("sample", 1.0), ("sample", 2.5)])
+        _bank_matches(registry, bank, oracle)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("add")),
+                st.tuples(
+                    st.just("set"),
+                    st.integers(0, 15),
+                    st.integers(0, 5000),
+                    st.integers(0, 10**6),
+                    st.floats(allow_nan=True, allow_infinity=False, width=64),
+                ),
+                st.tuples(st.just("retire"), st.integers(0, 15)),
+                st.tuples(
+                    st.just("sample"),
+                    st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
+                ),
+            ),
+            max_size=60,
+        )
+    )
+    def test_matches_list_fold(self, ops):
+        registry, bank, oracle = _drive(ops)
+        _bank_matches(registry, bank, oracle)
 
 
 class TestHistogram:

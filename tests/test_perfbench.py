@@ -24,6 +24,7 @@ def _report(**overrides) -> BenchReport:
         "optimize_screening": {"configs_per_s": 15000.0},
         "profiler_overhead": {"overhead_factor": 1.5},
         "telemetry_overhead": {"overhead_factor": 1.7},
+        "cluster_scale": {"requests_per_s": 2000.0, "kb_per_request": 1.8},
     }
     for name, fields in overrides.items():
         benchmarks[name] = {**benchmarks[name], **fields}
@@ -90,3 +91,28 @@ def test_iteration_rate_gate_still_trips():
     )
     assert len(failures) == 1
     assert failures[0].startswith("engine iteration rate regressed")
+
+
+def test_cluster_scale_gates_are_committed():
+    gate = BASELINE["cluster_scale"]
+    assert gate["min_requests_per_s"] > 0
+    assert gate["max_kb_per_request"] > 0
+
+
+@pytest.mark.parametrize(
+    ("field", "gate", "factor", "message"),
+    [
+        ("requests_per_s", "min_requests_per_s", 0.99, "cluster scale rate regressed"),
+        ("kb_per_request", "max_kb_per_request", 1.01, "cluster scale memory regressed"),
+    ],
+)
+def test_cluster_scale_gate_trips(field, gate, factor, message):
+    bound = BASELINE["cluster_scale"][gate]
+    at_bound = _report(cluster_scale={field: bound})
+    assert check_regression(at_bound, BASELINE) == []
+    failures = check_regression(
+        _report(cluster_scale={field: bound * factor}), BASELINE
+    )
+    assert len(failures) == 1
+    assert failures[0].startswith(message)
+    assert f"{bound:g}" in failures[0]

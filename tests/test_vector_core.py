@@ -401,6 +401,79 @@ class TestClusterEquivalence:
         )
 
 
+def _cluster_metrics(core: str, *, trace, replicas=2, **kwargs) -> dict:
+    result = ClusterSimulator(_dep(), replicas, core=core, **kwargs).run(
+        _clone(trace)
+    )
+    return result.metrics.to_json_dict()
+
+
+def _crash_control(*names: str, at_s: float = 2.0) -> ControlPlane:
+    return ControlPlane(
+        faults=FaultSchedule(
+            tuple(FaultEvent("crash", at_s=at_s, replica=n) for n in names)
+        ),
+        retry=RetryPolicy(max_retries=3),
+    )
+
+
+class TestClusterMetricsEquivalence:
+    """The vector core samples the per-replica fleet gauges through a
+    GaugeBank; the scalar core calls ``Gauge.set`` per replica.  Their
+    metrics JSON (gauge order, int-valued samples, time-weighted means)
+    must match byte for byte."""
+
+    @pytest.mark.parametrize(
+        ("case", "replicas", "kwargs"),
+        [
+            ("plain", 3, {}),
+            ("disagg", 2, {"disaggregation": DisaggregationSpec(num_prefill_replicas=1)}),
+            ("crash", 2, {"control": _crash_control("replica1")}),
+            ("all_crash", 2, {"control": _crash_control("replica0", "replica1", at_s=0.2)}),
+            (
+                "autoscale",
+                1,
+                {
+                    "max_concurrency": 4,
+                    "control": ControlPlane(
+                        autoscaler=QueueDepthAutoscaler(
+                            high_watermark=2.0, max_replicas=4
+                        ),
+                        tick_interval_s=0.25,
+                    ),
+                },
+            ),
+        ],
+    )
+    def test_metrics_json_identical(self, case, replicas, kwargs):
+        trace = open_loop_trace(40, 8.0, 256, 64, seed=3)
+        scalar = _cluster_metrics("scalar", trace=trace, replicas=replicas, **kwargs)
+        vector = _cluster_metrics("vector", trace=trace, replicas=replicas, **kwargs)
+        assert json.dumps(scalar) == json.dumps(vector)
+        gauges = vector["gauges"]
+        if case == "autoscale":  # a scaled-up replica registered late
+            assert "replica1.queue_depth" in gauges
+        if case == "crash":  # the crashed replica stopped sampling
+            assert (
+                gauges["replica1.queue_depth"]["num_samples"]
+                < gauges["replica0.queue_depth"]["num_samples"]
+            )
+
+    def test_simultaneous_arrivals(self):
+        """Every arrival at t=0: the zero-span plain-mean fallback."""
+        trace = fixed_batch_trace(12, 128, 32)
+        scalar = _cluster_metrics("scalar", trace=trace, replicas=3)
+        vector = _cluster_metrics("vector", trace=trace, replicas=3)
+        assert json.dumps(scalar) == json.dumps(vector)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_trace_metrics(self, seed):
+        trace = random_trace(200 + seed, n=32)
+        scalar = _cluster_metrics("scalar", trace=trace, replicas=4, max_concurrency=5)
+        vector = _cluster_metrics("vector", trace=trace, replicas=4, max_concurrency=5)
+        assert json.dumps(scalar) == json.dumps(vector)
+
+
 # ----------------------------------------------------------------------
 # Optimistic admission: bulk commits between KV-pool exhaustion points
 
